@@ -21,6 +21,7 @@ from .gshift import compile_gshift, gshift_to_json_dict, verify_conjugacy
 from .machine import (
     HALTING_MODES,
     MachineError,
+    RunResult,
     TuringMachine,
     format_config,
     make_config,
@@ -40,6 +41,19 @@ from .words import (
 )
 
 
+def _int_at_least(minimum: int):
+    """An argparse type for an integer flag that must be >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum} (got {value})")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tmdyn",
@@ -57,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[common], help="full report: shift table, graphs, certificate")
-    p.add_argument("--n-max", type=int, help="also append word counts for n = 1..N")
-    p.add_argument("--conjugacy-samples", type=int, default=200)
+    p.add_argument("--n-max", type=_int_at_least(1), help="also append word counts for n = 1..N")
+    p.add_argument("--conjugacy-samples", type=_int_at_least(1), default=200)
     p.add_argument("--out", metavar="PATH", help="write the JSON report to a file instead of stdout")
 
     p = sub.add_parser("graph", parents=[common], help="per-direction shift graph as dot text")
@@ -66,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("dot",), default="dot")
 
     p = sub.add_parser("entropy", parents=[common], help="word counts and entropy estimates")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_int_at_least(1), required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check small n against the brute-force oracle")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=_int_at_least(1), default=DEFAULT_NODE_BUDGET)
     p.add_argument(
         "--initial-only",
         action="store_true",
@@ -79,12 +93,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", help="starting state (default: the initial state)")
     p.add_argument("--tape", default="", help="symbols to place on the tape")
     p.add_argument("--offset", type=int, default=0, help="cell index of the first tape symbol")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_int_at_least(0), required=True)
     p.add_argument("--trace", action="store_true", help="print every configuration along the run")
 
     p = sub.add_parser("gshift", parents=[common], help="compiled generalized shift")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--verify", type=int, metavar="SAMPLES", help="check the conjugacy on random configurations")
+    mode.add_argument(
+        "--verify",
+        type=_int_at_least(1),
+        metavar="SAMPLES",
+        help="check the conjugacy on random configurations",
+    )
     mode.add_argument("--dump", action="store_true", help="dump the compiled tables as JSON")
 
     return parser
@@ -153,16 +172,19 @@ def cmd_analyze(machine: TuringMachine, source: dict, args) -> int:
         "failures": conj.failures,
         "seed": conj.seed,
     }
+    budget_error = None
     if args.n_max is not None:
-        if args.n_max < 1:
-            print("error: --n-max must be >= 1", file=sys.stderr)
-            return 2
-        report["word_counts"] = report_to_json_dict(entropy_estimates(machine, args.n_max))
+        words = entropy_estimates(machine, args.n_max)
+        report["word_counts"] = report_to_json_dict(words)
+        budget_error = words.budget_error
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+    if budget_error:
+        print(f"error: {budget_error}", file=sys.stderr)
+        return 1
     return 1 if conj.failures else 0
 
 
@@ -173,9 +195,6 @@ def cmd_graph(machine: TuringMachine, source: dict, args) -> int:
 
 
 def cmd_entropy(machine: TuringMachine, source: dict, args) -> int:
-    if args.n_max < 1:
-        print("error: --n-max must be >= 1", file=sys.stderr)
-        return 2
     report = entropy_estimates(
         machine, args.n_max, node_budget=args.node_budget, initial_only=args.initial_only
     )
@@ -202,19 +221,17 @@ def cmd_entropy(machine: TuringMachine, source: dict, args) -> int:
 
 
 def cmd_simulate(machine: TuringMachine, source: dict, args) -> int:
-    if args.steps < 0:
-        print("error: --steps must be >= 0", file=sys.stderr)
-        return 2
     state = machine.state_named(args.state) if args.state else machine.initial
     config = make_config(machine, state, args.tape, args.offset)
-    trail = [config]
-    current = config
-    for _ in range(args.steps):
-        if current.state == machine.halting:
-            break
-        current = step(machine, current)
-        trail.append(current)
-    result = run(machine, config, args.steps)
+    if args.trace:
+        # One pass that keeps every configuration; without --trace only run's final one.
+        trail = [config]
+        while len(trail) <= args.steps and trail[-1].state != machine.halting:
+            trail.append(step(machine, trail[-1]))
+        taken, halted = len(trail) - 1, trail[-1].state == machine.halting
+        result = RunResult(halted, taken, trail[-1], taken if halted else None)
+    else:
+        result = run(machine, config, args.steps)
     if args.json:
         def config_json(c):
             return {"state": c.state.name, "tape": {str(i): s.name for i, s in sorted(c.tape.items())}}
@@ -247,9 +264,6 @@ def cmd_gshift(machine: TuringMachine, source: dict, args) -> int:
     if args.dump:
         _dump(gshift_to_json_dict(compile_gshift(machine)))
         return 0
-    if args.verify < 1:
-        print("error: --verify needs at least one sample", file=sys.stderr)
-        return 2
     report = verify_conjugacy(machine, samples=args.verify, seed=args.seed)
     if args.json:
         _dump(

@@ -7,13 +7,17 @@ so log(count)/n decreases toward the machine's topological entropy; together
 with a certificate from :mod:`tmdyn.regularity` each report row brackets the
 entropy from above and below.
 
-Two independent enumerators are provided.  The oracle fixes every tape cell
-the head could possibly visit and simulates outright; it is exponentially
-expensive and exists as ground truth.  The production counter assigns tape
-cells lazily on first read, which only branches where the trace can actually
-differ.  Starting states deliberately range over *all* states, halting one
-included (its traces follow the configured halting extension); pass
-``initial_only=True`` to explore the restriction to the initial state.
+Three enumerations are provided.  The oracle fixes every tape cell the head
+could possibly visit and simulates outright; it is exponentially expensive
+and exists as ground truth.  The lazy enumerator behind :func:`word_set`
+assigns tape cells on first read, which only branches where the trace can
+actually differ, and collects the traces themselves.  The production counter
+:func:`count_words` walks the same search tree but counts its leaves, sharing
+the count of every subtree that starts at a first read with the same state,
+reads left and tape window.  Starting states deliberately range over *all*
+states, halting one included (its traces follow the configured halting
+extension); pass ``initial_only=True`` to explore the restriction to the
+initial state.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import csv
 import io
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 from .machine import Configuration, State, Symbol, TuringMachine, step
@@ -66,12 +71,109 @@ def count_words_oracle(
     return len(traces)
 
 
+def count_words(
+    machine: TuringMachine,
+    n: int,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    initial_only: bool = False,
+) -> int:
+    """Exact |S(n)| by counting the leaves of the lazy search; agrees with the oracle.
+
+    The lazy search branches only at the first read of a cell and records the
+    symbol just read, so sibling subtrees differ at that position and
+    distinct start states differ at position 0: leaves and traces correspond
+    one to one, and no trace is stored.  With m reads left the head stays
+    within m - 1 cells, so the leaves below a first read depend only on the
+    state, m and the tape window of radius m - 1 around the head, unvisited
+    cells included as such.  Those counts are memoised (each entry holds
+    O(n) cells); the deterministic steps between first reads are followed in
+    a loop over one mutable tape, and an explicit stack replaces recursion.
+
+    Raises :class:`BudgetExceededError` when memo misses, deterministic steps
+    and leaves together exceed ``node_budget``; there is no silent truncation.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rules = [[machine.transition(q, s) for s in machine.alphabet] for q in machine.states]
+    table = [[(tr.next_state.id, tr.write.id, tr.move) for tr in row] for row in rules]
+    k = len(machine.alphabet)
+    unseen = k  # the marker of a cell the search has not read yet
+    # The head starts at cell n - 1 and never leaves cells 0..2n-2.
+    tape = array("B" if k < 256 else "I", [unseen]) * (2 * n - 1)
+    memo: list[dict[bytes, int]] = [{} for _ in machine.states]
+    remaining = node_budget
+
+    def exhausted() -> BudgetExceededError:
+        return BudgetExceededError(
+            f"word enumeration for n={n} exceeded the node budget of {node_budget}"
+        )
+
+    starts = (machine.initial,) if initial_only else machine.states
+    result = 0
+    for start in starts:
+        remaining -= 1
+        if remaining < 0:
+            raise exhausted()
+        # The frame of a first read: state, head, reads left, its memo key,
+        # next symbol to assign, leaves so far, and the writes made since the
+        # assignment, undone before the next symbol is tried.
+        state, head, reads, key = start.id, n - 1, n, tape.tobytes()
+        sym, total, undo = 0, 0, []
+        parents = []
+        while True:
+            for cell, old in reversed(undo):
+                tape[cell] = old
+            undo.clear()
+            if sym == k:
+                tape[head] = unseen
+                memo[state][key] = total
+                if not parents:
+                    result += total
+                    break
+                below = total
+                state, head, reads, key, sym, total, undo = parents.pop()
+                total += below
+                continue
+            tape[head] = sym
+            sym += 1
+            # Follow the deterministic steps up to a leaf or the next first read.
+            q, h, r = state, head, reads
+            while True:
+                remaining -= 1
+                if remaining < 0:
+                    raise exhausted()
+                r -= 1
+                read = tape[h]
+                if not r:
+                    total += 1
+                    break
+                q, write, move = table[q][read]
+                if write != read:
+                    undo.append((h, read))
+                    tape[h] = write
+                h += move
+                if tape[h] == unseen:
+                    window = tape[h - r + 1 : h + r].tobytes()
+                    hit = memo[q].get(window)
+                    if hit is not None:
+                        total += hit
+                        break
+                    remaining -= 1
+                    if remaining < 0:
+                        raise exhausted()
+                    parents.append((state, head, reads, key, sym, total, undo))
+                    state, head, reads, key, sym, total, undo = q, h, r, window, 0, 0, []
+                    break
+    return result
+
+
 def _trace_set(
     machine: TuringMachine,
     n: int,
     node_budget: int,
     initial_only: bool,
 ) -> set[TraceWord]:
+    """The lazy enumerator: collect every trace of the search in a set."""
     if n < 1:
         raise ValueError("n must be >= 1")
     traces: set[TraceWord] = set()
@@ -109,22 +211,6 @@ def _trace_set(
     return traces
 
 
-def count_words(
-    machine: TuringMachine,
-    n: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    initial_only: bool = False,
-) -> int:
-    """Exact |S(n)| via lazy tape assignment; agrees with the oracle.
-
-    Distinct window assignments can realize identical traces, so traces are
-    materialized in a set, never counted as leaves.  Raises
-    :class:`BudgetExceededError` when more than ``node_budget`` search nodes
-    are visited; there is no silent truncation.
-    """
-    return len(_trace_set(machine, n, node_budget, initial_only))
-
-
 def word_set(
     machine: TuringMachine,
     n: int,
@@ -132,7 +218,11 @@ def word_set(
     node_budget: int = DEFAULT_NODE_BUDGET,
     initial_only: bool = False,
 ) -> set[TraceWord]:
-    """The actual n-word set, for tests and inspection; capped at ``max_n``."""
+    """The actual n-word set from the lazy enumerator; capped at ``max_n``.
+
+    An independent slow path beside the oracle, for tests and inspection:
+    it stores every trace, so :func:`count_words` is the way to count.
+    """
     if not 1 <= n <= max_n:
         raise ValueError(f"n must be in 1..{max_n} for word_set (got {n})")
     return _trace_set(machine, n, node_budget, initial_only)

@@ -1,7 +1,9 @@
+import functools
 import json
 
 import pytest
 
+from tmdyn import cli
 from tmdyn.cli import main
 
 HALTER_TEXT = """\
@@ -146,6 +148,76 @@ def test_entropy_budget_failure(capsys):
     )
     assert code == 1
     assert "budget" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_entropy_node_budget_below_one_is_usage_error(capsys, value):
+    code, out, err = run_cli(
+        capsys, "entropy", "--machine", "utm_6_4", "--n-max", "3", "--node-budget", value
+    )
+    assert code == 2
+    assert out == ""
+    assert "--node-budget" in err
+
+
+def test_analyze_n_max_rejected_before_analysis(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the analysis ran")
+
+    monkeypatch.setattr(cli, "verify_conjugacy", fail)
+    monkeypatch.setattr(cli, "shift_table_rows", fail)
+    code, out, err = run_cli(capsys, "analyze", "--machine", "utm_6_4", "--n-max", "0")
+    assert code == 2
+    assert out == ""
+    assert "--n-max" in err
+
+
+def test_analyze_budget_error_is_analysis_failure(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "entropy_estimates", functools.partial(cli.entropy_estimates, node_budget=10)
+    )
+    code, out, err = run_cli(capsys, "analyze", "--machine", "utm_6_4", "--n-max", "3")
+    assert code == 1
+    assert "budget" in err
+    report = json.loads(out)
+    assert report["word_counts"]["rows"] == []
+    assert "budget" in report["word_counts"]["budget_error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--steps", "-1"],
+        ["gshift", "--verify", "0"],
+        ["analyze", "--conjugacy-samples", "0"],
+        ["entropy", "--n-max", "x"],
+    ],
+)
+def test_numeric_flags_out_of_range_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--machine", "wutm_6_2")
+    assert code == 2
+    assert out == ""
+    assert argv[1] in err
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_simulate_runs_the_orbit_once(capsys, monkeypatch, trace):
+    calls = {"step": 0, "run": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "step", counted("step", cli.step))
+    monkeypatch.setattr(cli, "run", counted("run", cli.run))
+    argv = ["simulate", "--machine", "utm_6_4", "--steps", "40", "--json"]
+    code, out, _ = run_cli(capsys, *argv, *(["--trace"] if trace else []))
+    assert code == 0
+    assert json.loads(out)["steps_taken"] == 40
+    assert calls == ({"step": 40, "run": 0} if trace else {"step": 0, "run": 1})
 
 
 def test_simulate_one_step(capsys):

@@ -1,0 +1,43 @@
+"""Byte-for-byte CLI outputs pinned in ``tests/golden``.
+
+Each file holds the stdout of one command on a corpus machine, as produced
+before the memoised word counter and the single-pass ``simulate`` replaced
+their slower predecessors.  A faster or simpler implementation must give the
+same bytes; regenerate a file only when an output change is intended.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from tmdyn.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SIMULATE = {
+    "utm_blank": ["--machine", "utm_6_4", "--steps", "12"],
+    "wutm_tape": ["--machine", "wutm_6_2", "--state", "u4", "--tape", "b b g b", "--steps", "15"],
+    "utm_halts": ["--machine", "utm_6_4", "--state", "u6", "--tape", "c", "--steps", "5",
+                  "--halting-mode", "restart"],
+}
+
+CASES = {}
+for name, argv in SIMULATE.items():
+    for suffix, extra in (("", []), ("_trace", ["--trace"])):
+        CASES[f"simulate_{name}{suffix}.txt"] = ["simulate", *argv, *extra]
+        CASES[f"simulate_{name}{suffix}.json"] = ["simulate", *argv, *extra, "--json"]
+for machine in ("utm_6_4", "wutm_6_2"):
+    for mode in ("fixpoint", "restart"):
+        common = ["--machine", machine, "--halting-mode", mode]
+        CASES[f"entropy_{machine}_{mode}.csv"] = ["entropy", *common, "--n-max", "10"]
+        CASES[f"entropy_{machine}_{mode}.json"] = ["entropy", *common, "--n-max", "10", "--json"]
+        CASES[f"analyze_{machine}_{mode}.json"] = ["analyze", *common, "--n-max", "8"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(capsys, name):
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    # bytes, not text: the CSV rows end in \r\n, which text mode would translate
+    assert out == (GOLDEN / name).read_bytes().decode("utf-8")

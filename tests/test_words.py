@@ -12,6 +12,7 @@ from tmdyn import (
     report_to_json_dict,
     word_set,
 )
+from tmdyn.machine import HALTING_MODES
 from tmdyn.regularity import STRONGLY_REGULAR
 
 from conftest import machines
@@ -118,6 +119,41 @@ def test_caps_and_budgets(utm):
         count_words(utm, 0)
     with pytest.raises(BudgetExceededError):
         count_words(utm, 3, node_budget=10)
+
+
+def test_node_budget_counts_misses_and_leaves(utm):
+    # n = 1: one memo miss per start state, then one leaf per symbol
+    needed = len(utm.states) + len(utm.states) * len(utm.alphabet)
+    assert count_words(utm, 1, node_budget=needed) == 28
+    with pytest.raises(BudgetExceededError):
+        count_words(utm, 1, node_budget=needed - 1)
+
+
+def test_deep_count_hits_budget_not_recursion_limit(wutm):
+    # the search is iterative: a depth far beyond the recursion limit still
+    # stops at the budget
+    with pytest.raises(BudgetExceededError):
+        count_words(wutm, 1200, node_budget=10_000)
+
+
+def _assert_counts_match_enumerator(machine, n_max):
+    for mode in HALTING_MODES:
+        m = machine.with_halting_mode(mode)
+        for initial_only in (False, True):
+            for n in range(1, n_max + 1):
+                expected = len(word_set(m, n, max_n=n_max, initial_only=initial_only))
+                assert count_words(m, n, initial_only=initial_only) == expected, (mode, initial_only, n)
+
+
+def test_counts_match_enumerator_on_corpus(utm, wutm):
+    for m in (utm, wutm):
+        _assert_counts_match_enumerator(m, 7)
+
+
+@given(machines())
+@settings(max_examples=60, deadline=None)
+def test_counts_match_enumerator_random(machine):
+    _assert_counts_match_enumerator(machine, 7)
 
 
 def test_entropy_estimates_bracket(utm):
