@@ -18,11 +18,11 @@ from tmdyn import (
     check_strong_regularity,
     corpus_names,
     entropy_estimates,
-    entropy_lower_bound,
     shift_graph,
     verify_conjugacy,
     verify_witness,
 )
+from tmdyn.cli import _int_at_least
 
 
 def describe(name: str, n_max: int, samples: int, seed: int) -> None:
@@ -55,7 +55,8 @@ def describe(name: str, n_max: int, samples: int, seed: int) -> None:
     else:
         print("closed-walk witness: none")
 
-    certificate = entropy_lower_bound(machine)
+    report = entropy_estimates(machine, n_max)
+    certificate = report.certificate
     bound = certificate.bound_float()
     print(f"certificate: {certificate.verdict}", end="")
     print(f", entropy >= {certificate.bound_text()} = {bound:.6f}" if bound else "")
@@ -64,7 +65,6 @@ def describe(name: str, n_max: int, samples: int, seed: int) -> None:
         graph = shift_graph(machine, direction)
         print(f"shift graph {direction:+d}: {len(graph.edges)} edges")
 
-    report = entropy_estimates(machine, n_max)
     print(f"word counts up to n = {n_max}:")
     print("    n      count        e_n")
     for row in report.rows:
@@ -79,8 +79,8 @@ def describe(name: str, n_max: int, samples: int, seed: int) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-max", type=int, default=8)
-    parser.add_argument("--samples", type=int, default=1000)
+    parser.add_argument("--n-max", type=_int_at_least(1), default=8)
+    parser.add_argument("--samples", type=_int_at_least(1), default=1000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     for name in corpus_names():

@@ -8,7 +8,7 @@ coordinates.
 
 __version__ = "0.1.0"
 
-from .corpus import builtin_machine, corpus_names, random_machine
+from .corpus import builtin_machine, corpus_names, corpus_text, random_machine
 from .gshift import (
     ASequence,
     CantorPoint,

@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import builtin_machine, corpus_names, _CORPUS
-from .gshift import compile_gshift, gshift_to_json_dict, verify_conjugacy
+from .corpus import corpus_names, corpus_text
+from .gshift import ConjugacyReport, compile_gshift, gshift_to_json_dict, verify_conjugacy
 from .machine import (
     HALTING_MODES,
     MachineError,
@@ -30,7 +30,7 @@ from .machine import (
     step,
 )
 from .regularity import certificate_to_json_dict, entropy_lower_bound
-from .shift_analysis import ShiftGraph, graph_to_dot, shift_graph, shift_table_rows
+from .shift_analysis import ShiftGraph, graph_to_dot, shift_graph, shift_table, shift_table_rows
 from .words import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
@@ -111,19 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_machine(args) -> tuple[TuringMachine, dict]:
     if args.machine is not None:
-        if args.machine not in _CORPUS:
-            raise MachineError(
-                f"unknown corpus machine {args.machine!r}; known: {', '.join(corpus_names())}"
-            )
-        text = _CORPUS[args.machine]
-        machine = builtin_machine(args.machine, halting_mode=args.halting_mode)
+        text = corpus_text(args.machine)
         source = {"name": args.machine}
     else:
         text = Path(args.file).read_text(encoding="utf-8")
-        machine = parse_machine(text, halting_mode=args.halting_mode)
         source = {"file": args.file}
     source["sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return machine, source
+    return parse_machine(text, halting_mode=args.halting_mode), source
 
 
 def _machine_json(machine: TuringMachine, source: dict) -> dict:
@@ -149,32 +143,38 @@ def _graph_json(graph: ShiftGraph) -> dict:
     }
 
 
+def _conjugacy_json(report: ConjugacyReport) -> dict:
+    return {
+        "samples": report.samples,
+        "passes": report.passes,
+        "failures": report.failures,
+        "seed": report.seed,
+    }
+
+
 def _dump(data: dict, stream=None) -> None:
     print(json.dumps(data, indent=2), file=stream or sys.stdout)
 
 
 def cmd_analyze(machine: TuringMachine, source: dict, args) -> int:
+    table = shift_table(machine)
+    words = None if args.n_max is None else entropy_estimates(machine, args.n_max)
+    certificate = entropy_lower_bound(machine) if words is None else words.certificate
+    conj = verify_conjugacy(machine, samples=args.conjugacy_samples, seed=args.seed)
     report = {
         "tool": {"name": "tmdyn", "version": __version__},
         "machine": _machine_json(machine, source),
         "seed": args.seed,
-        "shift_table": shift_table_rows(machine),
+        "shift_table": shift_table_rows(table),
         "graphs": {
-            "+1": _graph_json(shift_graph(machine, 1)),
-            "-1": _graph_json(shift_graph(machine, -1)),
+            "+1": _graph_json(shift_graph(machine, 1, table)),
+            "-1": _graph_json(shift_graph(machine, -1, table)),
         },
-        "certificate": certificate_to_json_dict(entropy_lower_bound(machine)),
-    }
-    conj = verify_conjugacy(machine, samples=args.conjugacy_samples, seed=args.seed)
-    report["conjugacy"] = {
-        "samples": conj.samples,
-        "passes": conj.passes,
-        "failures": conj.failures,
-        "seed": conj.seed,
+        "certificate": certificate_to_json_dict(certificate),
+        "conjugacy": _conjugacy_json(conj),
     }
     budget_error = None
-    if args.n_max is not None:
-        words = entropy_estimates(machine, args.n_max)
+    if words is not None:
         report["word_counts"] = report_to_json_dict(words)
         budget_error = words.budget_error
     text = json.dumps(report, indent=2) + "\n"
@@ -266,14 +266,7 @@ def cmd_gshift(machine: TuringMachine, source: dict, args) -> int:
         return 0
     report = verify_conjugacy(machine, samples=args.verify, seed=args.seed)
     if args.json:
-        _dump(
-            {
-                "samples": report.samples,
-                "passes": report.passes,
-                "failures": report.failures,
-                "seed": report.seed,
-            }
-        )
+        _dump(_conjugacy_json(report))
     else:
         print(f"conjugacy check: {report.passes}/{report.samples} passed (seed {report.seed})")
         if report.first_counterexample is not None:
@@ -298,15 +291,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     try:
         machine, source = _load_machine(args)
-    except (MachineError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return _COMMANDS[args.command](machine, args=args, source=source)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MachineError as exc:
+    except (MachineError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .machine import State, Symbol, Transition, TuringMachine, parse_machine
+from .machine import MachineError, State, Symbol, Transition, TuringMachine, parse_machine
 
 UTM_6_4_TEXT = """\
 # 6-state, 4-symbol universal machine
@@ -91,13 +91,17 @@ def corpus_names() -> tuple[str, ...]:
     return tuple(sorted(_CORPUS))
 
 
+def corpus_text(name: str) -> str:
+    """The description text of a built-in machine; :class:`MachineError` for an unknown name."""
+    try:
+        return _CORPUS[name]
+    except KeyError:
+        raise MachineError(f"unknown corpus machine {name!r}; known: {', '.join(corpus_names())}") from None
+
+
 def builtin_machine(name: str, halting_mode: str = "fixpoint") -> TuringMachine:
     """Return a built-in machine by corpus name (see :func:`corpus_names`)."""
-    try:
-        text = _CORPUS[name]
-    except KeyError:
-        raise ValueError(f"unknown corpus machine {name!r}; known: {', '.join(corpus_names())}") from None
-    return parse_machine(text, halting_mode=halting_mode)
+    return parse_machine(corpus_text(name), halting_mode=halting_mode)
 
 
 def random_machine(

@@ -121,10 +121,11 @@ class TuringMachine:
                 raise MachineValidationError(f"state {q.name!r} is not in the state list")
         if self.halting_mode not in HALTING_MODES:
             raise MachineValidationError(f"unknown halting mode {self.halting_mode!r}")
-        expected = {(q, s) for q in self.states if q != self.halting for s in self.alphabet}
-        for q, s in expected - set(self.rules):
-            raise MachineValidationError(f"missing rule for ({q.name}, {s.name})")
-        for q, s in set(self.rules) - expected:
+        expected = [(q, s) for q in self.states if q != self.halting for s in self.alphabet]
+        for q, s in expected:
+            if (q, s) not in self.rules:
+                raise MachineValidationError(f"missing rule for ({q.name}, {s.name})")
+        for q, s in set(self.rules).difference(expected):
             raise MachineValidationError(f"unexpected rule for ({q.name}, {s.name})")
         for (q, s), tr in self.rules.items():
             if tr.next_state not in self.states or tr.write not in self.alphabet:
@@ -170,9 +171,6 @@ class Configuration:
 
     state: State
     tape: dict[int, Symbol]
-
-    def head_symbol(self, blank: Symbol) -> Symbol:
-        return self.tape.get(0, blank)
 
 
 @dataclass(frozen=True)
@@ -400,16 +398,9 @@ def parse_machine(text: str, halting_mode: str = "fixpoint") -> TuringMachine:
             raise MachineFormatError(f"duplicate rule for ({q.name}, {s.name})", lineno)
         rules[(q, s)] = tr
 
-    for q in states:
-        if q == halting:
-            continue
-        for s in alphabet:
-            if (q, s) not in rules:
-                raise MachineFormatError(f"missing rule for ({q.name}, {s.name})")
-
     try:
         return TuringMachine(states, alphabet, blank, initial, halting, rules, halting_mode)
-    except MachineValidationError as exc:  # pragma: no cover - parse checks mirror validation
+    except MachineValidationError as exc:
         raise MachineFormatError(str(exc)) from exc
 
 

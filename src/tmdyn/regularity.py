@@ -142,17 +142,19 @@ def check_regularity(machine: TuringMachine) -> Optional[RegularWitness]:
     for direction in (1, -1):
         graph = shift_graph(machine, direction, table)
         for component in _strongly_connected_components(graph):
-            internal = [e for e in graph.edges if e.src in component and e.dst in component]
-            if len(internal) <= len(component):
+            # Internal out-edges per vertex, in label order (graph.edges is
+            # in (source, label) order); labels are unique per source.
+            internal: dict[State, list[ShiftEdge]] = {v: [] for v in component}
+            for e in graph.edges:
+                if e.src in component and e.dst in component:
+                    internal[e.src].append(e)
+            if sum(map(len, internal.values())) <= len(component):
                 continue
             for v in sorted(component, key=lambda q: q.id):
-                out_edges = sorted(
-                    (e for e in internal if e.src == v), key=lambda e: e.label.id
-                )
-                if len(out_edges) < 2:
+                if len(internal[v]) < 2:
                     continue
                 walks = []
-                for first in out_edges:
+                for first in internal[v]:
                     back = _cheapest_path(internal, steps, first.dst, v)
                     walk = _as_walk([first] + back)
                     cost = 1 + sum(steps[pair] for pair in walk)
@@ -189,8 +191,8 @@ def _walk_key(walk: Walk):
     return tuple((q.id, s.id) for q, s in walk)
 
 
-def _cheapest_path(edges, steps, src: State, dst: State) -> list[ShiftEdge]:
-    """Deterministic Dijkstra over the given edges, weighted by step counts."""
+def _cheapest_path(out_edges, steps, src: State, dst: State) -> list[ShiftEdge]:
+    """Deterministic Dijkstra over the given out-edge lists, weighted by step counts."""
     if src == dst:
         return []
     best: dict[State, tuple[int, list[ShiftEdge]]] = {src: (0, [])}
@@ -201,7 +203,7 @@ def _cheapest_path(edges, steps, src: State, dst: State) -> list[ShiftEdge]:
             continue
         if v == dst:
             return best[v][1]
-        for e in sorted((e for e in edges if e.src == v), key=lambda e: (e.label.id, e.dst.id)):
+        for e in out_edges[v]:
             w = dist + steps[(e.src, e.label)]
             if e.dst not in best or w < best[e.dst][0]:
                 best[e.dst] = (w, best[v][1] + [e])
@@ -310,17 +312,15 @@ def _verify_regular(machine: TuringMachine, w: RegularWitness) -> bool:
 def entropy_lower_bound(machine: TuringMachine) -> EntropyCertificate:
     """Best certified lower bound available from the two witness searches.
 
-    A strong witness gives log |S'|; a regular one gives log 2 / cost.  When
-    both exist the larger bound wins (compared exactly via |S'| ** cost >= 2,
-    which a strong witness always satisfies).  With no witness the
-    certificate carries no bound at all; this is not a zero-entropy claim.
+    A strong witness gives log |S'|, which is never below a regular one's
+    log 2 / cost (|S'| >= 2 and cost >= 1), so the closed-walk search runs
+    only when there is no strong witness.  With no witness the certificate
+    carries no bound at all; this is not a zero-entropy claim.
     """
     strong = check_strong_regularity(machine)
-    regular = check_regularity(machine)
     if strong is not None:
-        size = len(strong.symbols)
-        if regular is None or size**regular.cost >= 2:
-            return EntropyCertificate(STRONGLY_REGULAR, size, 1, strong)
+        return EntropyCertificate(STRONGLY_REGULAR, len(strong.symbols), 1, strong)
+    regular = check_regularity(machine)
     if regular is not None:
         return EntropyCertificate(REGULAR, 2, regular.cost, regular)
     return EntropyCertificate(NO_WITNESS, None, None, None)

@@ -74,7 +74,7 @@ def classify_shift(machine: TuringMachine, state: State, symbol: Symbol) -> Shif
 
 
 def shift_table(machine: TuringMachine) -> dict[tuple[State, Symbol], ShiftOutcome]:
-    """:func:`classify_shift` at every (non-halting state, symbol) pair."""
+    """:func:`classify_shift` at every (non-halting state, symbol) pair, in (state id, symbol id) order."""
     return {
         (q, s): classify_shift(machine, q, s)
         for q in machine.non_halting_states()
@@ -113,14 +113,14 @@ def shift_graph(
     direction: int,
     table: dict[tuple[State, Symbol], ShiftOutcome] | None = None,
 ) -> ShiftGraph:
-    """Build the per-direction multigraph from the shift table."""
+    """Build the per-direction multigraph; edges keep the table's (source id, label id) order."""
     if direction not in (-1, 1):
         raise ValueError("direction must be -1 or +1")
     if table is None:
         table = shift_table(machine)
     edges = tuple(
         ShiftEdge(q, out.exit_state, s)
-        for (q, s), out in sorted(table.items(), key=lambda kv: (kv[0][0].id, kv[0][1].id))
+        for (q, s), out in table.items()
         if out.kind == SHIFT and out.direction == direction
     )
     return ShiftGraph(direction, machine.non_halting_states(), edges)
@@ -138,10 +138,10 @@ def graph_to_dot(graph: ShiftGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def shift_table_rows(machine: TuringMachine) -> list[dict]:
-    """Shift table as JSON-friendly rows (state, symbol, kind, direction, exit, steps)."""
+def shift_table_rows(table: dict[tuple[State, Symbol], ShiftOutcome]) -> list[dict]:
+    """A shift table as JSON-friendly rows (state, symbol, kind, direction, exit, steps), in table order."""
     rows = []
-    for (q, s), out in sorted(shift_table(machine).items(), key=lambda kv: (kv[0][0].id, kv[0][1].id)):
+    for (q, s), out in table.items():
         rows.append(
             {
                 "state": q.name,

@@ -167,15 +167,20 @@ def count_words(
     return result
 
 
-def _trace_set(
+def word_set(
     machine: TuringMachine,
     n: int,
-    node_budget: int,
-    initial_only: bool,
+    max_n: int = 4,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    initial_only: bool = False,
 ) -> set[TraceWord]:
-    """The lazy enumerator: collect every trace of the search in a set."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """The actual n-word set from the lazy enumerator; capped at ``max_n``.
+
+    An independent slow path beside the oracle, for tests and inspection:
+    it stores every trace, so :func:`count_words` is the way to count.
+    """
+    if not 1 <= n <= max_n:
+        raise ValueError(f"n must be in 1..{max_n} for word_set (got {n})")
     traces: set[TraceWord] = set()
     alphabet = machine.alphabet
     transition = machine.transition
@@ -209,23 +214,6 @@ def _trace_set(
     for q in starts:
         explore(q, 0, {}, ())
     return traces
-
-
-def word_set(
-    machine: TuringMachine,
-    n: int,
-    max_n: int = 4,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    initial_only: bool = False,
-) -> set[TraceWord]:
-    """The actual n-word set from the lazy enumerator; capped at ``max_n``.
-
-    An independent slow path beside the oracle, for tests and inspection:
-    it stores every trace, so :func:`count_words` is the way to count.
-    """
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be in 1..{max_n} for word_set (got {n})")
-    return _trace_set(machine, n, node_budget, initial_only)
 
 
 @dataclass(frozen=True)

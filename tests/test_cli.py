@@ -1,9 +1,14 @@
+import collections
+import contextlib
 import functools
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tmdyn import cli
+from tmdyn import cli, regularity, shift_analysis, words
 from tmdyn.cli import main
 
 HALTER_TEXT = """\
@@ -84,6 +89,42 @@ def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "analyze", "--file", "/no/such/file.tm")
     assert code == 2
     assert "error" in err
+
+
+def test_undecodable_file_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.tm"
+    bad.write_bytes(HALTER_TEXT.replace("q0", "q\xe9").encode("latin-1"))
+    code, out, err = run_cli(capsys, "analyze", "--file", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "analyze", "--machine", "wutm_6_2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=120),
+        st.builds(
+            lambda cut, junk: HALTER_TEXT.encode()[:cut] + junk,
+            st.integers(0, len(HALTER_TEXT)),
+            st.binary(max_size=8),
+        ),
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_analyze_on_random_file_bytes_never_raises(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.tm"
+    path.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["analyze", "--file", str(path), "--conjugacy-samples", "5"])
+    assert code in (0, 1, 2)
 
 
 def test_unknown_corpus_name(capsys):
@@ -170,6 +211,42 @@ def test_analyze_n_max_rejected_before_analysis(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "--n-max" in err
+
+
+def _count_calls(monkeypatch, *targets):
+    """Replace each (module, name) by a wrapper that counts its calls under ``name``."""
+    calls = collections.Counter()
+    for module, name in targets:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_computes_each_fact_once(capsys, monkeypatch):
+    calls = _count_calls(
+        monkeypatch,
+        (shift_analysis, "shift_table"),
+        (cli, "shift_table"),
+        (regularity, "shift_table"),
+        (cli, "shift_graph"),
+        (regularity, "shift_graph"),
+        (cli, "entropy_lower_bound"),
+        (words, "entropy_lower_bound"),
+        (regularity, "check_regularity"),
+    )
+    code, _, _ = run_cli(capsys, "analyze", "--machine", "wutm_6_2", "--n-max", "5")
+    assert code == 0
+    assert calls["shift_table"] <= 2
+    assert calls["shift_graph"] <= 4
+    assert calls["entropy_lower_bound"] == 1
+    calls.clear()
+    code, _, _ = run_cli(capsys, "analyze", "--machine", "utm_6_4", "--n-max", "5")
+    assert code == 0
+    assert calls["entropy_lower_bound"] == 1
+    assert calls["check_regularity"] == 0
 
 
 def test_analyze_budget_error_is_analysis_failure(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from tmdyn import (
     MachineFormatError,
+    MachineValidationError,
     Transition,
     distance,
     make_config,
@@ -56,6 +58,27 @@ def test_missing_rule_reports_pair():
     )
     with pytest.raises(MachineFormatError, match=r"missing rule for \(u1, g\)"):
         parse_machine(text)
+
+
+def test_validation_names_first_missing_pair_in_id_order(utm):
+    u3, u5 = utm.state_named("u3"), utm.state_named("u5")
+    rules = {(q, s): tr for (q, s), tr in utm.rules.items() if q not in (u3, u5)}
+    with pytest.raises(MachineValidationError, match=r"missing rule for \(u3, g\)$"):
+        dataclasses.replace(utm, rules=rules)
+
+
+_HEADER_BLOCK = "states: q r halt\nalphabet: 0 1\nblank: 0\ninitial: q\nhalting: halt\n"
+_TOKENS = ("q", "r", "halt", "0", "1", "2", "->", "L", "R", "N", "HALT", "#", "states:", "blank:", "x:")
+
+
+@given(st.booleans(), st.lists(st.lists(st.sampled_from(_TOKENS), max_size=7), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_parse_token_soup_raises_only_format_errors(with_headers, lines):
+    text = (_HEADER_BLOCK if with_headers else "") + "\n".join(" ".join(line) for line in lines)
+    try:
+        parse_machine(text)
+    except MachineFormatError:
+        pass
 
 
 def test_one_symbol_alphabet_rejected():

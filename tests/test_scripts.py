@@ -1,0 +1,28 @@
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+ANALYZE_CORPUS = Path(__file__).resolve().parent.parent / "scripts" / "analyze_corpus.py"
+
+
+def run_analyze_corpus(monkeypatch, *argv):
+    monkeypatch.setattr(sys, "argv", [str(ANALYZE_CORPUS), *argv])
+    runpy.run_path(str(ANALYZE_CORPUS), run_name="__main__")
+
+
+def test_analyze_corpus_prints_both_certificates(capsys, monkeypatch):
+    run_analyze_corpus(monkeypatch, "--n-max", "5", "--samples", "50")
+    out = capsys.readouterr().out
+    assert "certificate: strongly-regular, entropy >= log 2 = 0.693147" in out
+    assert "certificate: regular, entropy >= log 2 / 3 = 0.231049" in out
+    assert out.count("conjugacy check: 50/50 passed") == 2
+
+
+@pytest.mark.parametrize("flag", ["--n-max", "--samples"])
+def test_analyze_corpus_rejects_counts_below_one(capsys, monkeypatch, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_analyze_corpus(monkeypatch, flag, "0")
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
