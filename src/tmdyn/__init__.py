@@ -27,6 +27,7 @@ from .gshift import (
     verify_conjugacy,
 )
 from .machine import (
+    BudgetExceededError,
     Configuration,
     MachineError,
     MachineFormatError,
@@ -68,7 +69,6 @@ from .shift_analysis import (
     shift_table_rows,
 )
 from .words import (
-    BudgetExceededError,
     WordCountReport,
     WordCountRow,
     count_words,

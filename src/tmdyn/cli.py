@@ -20,6 +20,7 @@ from .corpus import corpus_names, corpus_text
 from .gshift import ConjugacyReport, compile_gshift, gshift_to_json_dict, verify_conjugacy
 from .machine import (
     HALTING_MODES,
+    BudgetExceededError,
     MachineError,
     RunResult,
     TuringMachine,
@@ -33,7 +34,6 @@ from .regularity import certificate_to_json_dict, entropy_lower_bound
 from .shift_analysis import ShiftGraph, graph_to_dot, shift_graph, shift_table, shift_table_rows
 from .words import (
     DEFAULT_NODE_BUDGET,
-    BudgetExceededError,
     count_words_oracle,
     entropy_estimates,
     report_to_csv,
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", parents=[common], help="word counts and entropy estimates")
     p.add_argument("--n-max", type=_int_at_least(1), required=True)
-    p.add_argument("--oracle", action="store_true", help="cross-check small n against the brute-force oracle")
+    p.add_argument("--oracle", action="store_true", help="check rows n <= 4 against the brute-force oracle")
     p.add_argument("--node-budget", type=_int_at_least(1), default=DEFAULT_NODE_BUDGET)
     p.add_argument(
         "--initial-only",

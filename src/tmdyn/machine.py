@@ -52,6 +52,10 @@ class MachineFormatError(MachineError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+class BudgetExceededError(RuntimeError):
+    """A search hit its explicit budget or cap and returned no result."""
+
+
 @dataclass(frozen=True)
 class Symbol:
     """One tape symbol; ``id`` indexes the machine's alphabet."""
@@ -127,8 +131,9 @@ class TuringMachine:
                 raise MachineValidationError(f"missing rule for ({q.name}, {s.name})")
         for q, s in set(self.rules).difference(expected):
             raise MachineValidationError(f"unexpected rule for ({q.name}, {s.name})")
+        states, alphabet = set(self.states), set(self.alphabet)
         for (q, s), tr in self.rules.items():
-            if tr.next_state not in self.states or tr.write not in self.alphabet:
+            if tr.next_state not in states or tr.write not in alphabet:
                 raise MachineValidationError(
                     f"rule for ({q.name}, {s.name}) references an unknown state or symbol"
                 )

@@ -23,12 +23,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .machine import State, Symbol, TuringMachine
+from .machine import BudgetExceededError, State, Symbol, TuringMachine
 from .shift_analysis import SHIFT, ShiftEdge, ShiftGraph, classify_shift, shift_graph, shift_table
 
 STRONGLY_REGULAR = "strongly-regular"
 REGULAR = "regular"
 NO_WITNESS = "no-witness-found"
+
+#: The strong-block search enumerates symbol subsets, so it refuses larger alphabets.
+MAX_ALPHABET = 16
 
 #: Walks are (state, symbol) pair sequences; consecutive pairs are linked by
 #: the shift classification and the last pair shifts back to the base state.
@@ -76,7 +79,7 @@ class EntropyCertificate:
         return f"log {self.log_of}" if self.over == 1 else f"log {self.log_of} / {self.over}"
 
 
-def check_strong_regularity(machine: TuringMachine, max_alphabet: int = 16) -> Optional[StrongWitness]:
+def check_strong_regularity(machine: TuringMachine) -> Optional[StrongWitness]:
     """Search for a strong block, largest symbol set first, or return None.
 
     For a fixed symbol set S' and direction, the block condition is pointwise
@@ -89,10 +92,11 @@ def check_strong_regularity(machine: TuringMachine, max_alphabet: int = 16) -> O
     The search is direction-major (+1 fully before -1) and stops at the first
     hit, so a machine with blocks in both directions gets its +1 witness even
     if the -1 one has more symbols; the certificate is sound either way.
+    Raises :class:`BudgetExceededError` above :data:`MAX_ALPHABET` symbols.
     """
-    if len(machine.alphabet) > max_alphabet:
-        raise ValueError(
-            f"alphabet size {len(machine.alphabet)} exceeds the search cap {max_alphabet}"
+    if len(machine.alphabet) > MAX_ALPHABET:
+        raise BudgetExceededError(
+            f"alphabet size {len(machine.alphabet)} exceeds the search cap {MAX_ALPHABET}"
         )
     for direction in (1, -1):
         if not any(
@@ -127,43 +131,38 @@ def _greatest_block(machine: TuringMachine, direction: int, symbols) -> set[Stat
 def check_regularity(machine: TuringMachine) -> Optional[RegularWitness]:
     """Search both shift graphs for two distinct closed walks from one state.
 
-    A strongly connected component in which every vertex lies on a cycle is a
-    single simple cycle exactly when its internal edge count equals its
-    vertex count, so a component with more internal edges than vertices
-    contains a vertex with two internal out-edges, each of which closes up
-    into a walk back to that vertex.  Among all extracted candidates the
-    witness with the smallest max(cost_a, cost_b) is returned (cheapest
-    return paths are found by Dijkstra on the per-edge step counts, so the
-    certified bound log 2 / cost is large, though not provably maximal).
+    An out-edge of v closes up into a walk back to v exactly when its target
+    lies in v's strongly connected component, so every vertex with at least
+    two such edges carries a witness: one walk per edge, each closed by the
+    cheapest return path inside the component (Dijkstra on the per-edge step
+    counts), and the two cheapest walks are kept.  Among all vertices of both
+    graphs the witness with the smallest max(cost_a, cost_b) is returned, so
+    the certified bound log 2 / cost is large, though not provably maximal.
     """
     candidates = []
     table = shift_table(machine)
     steps = {pair: out.steps for pair, out in table.items() if out.kind == SHIFT}
     for direction in (1, -1):
         graph = shift_graph(machine, direction, table)
-        for component in _strongly_connected_components(graph):
-            # Internal out-edges per vertex, in label order (graph.edges is
-            # in (source, label) order); labels are unique per source.
-            internal: dict[State, list[ShiftEdge]] = {v: [] for v in component}
-            for e in graph.edges:
-                if e.src in component and e.dst in component:
-                    internal[e.src].append(e)
-            if sum(map(len, internal.values())) <= len(component):
+        component = _component_labels(graph)
+        # Closing out-edges per vertex, in label order (graph.edges is in
+        # (source, label) order); labels are unique per source.
+        internal: dict[State, list[ShiftEdge]] = {v: [] for v in graph.vertices}
+        for e in graph.edges:
+            if component[e.dst] == component[e.src]:
+                internal[e.src].append(e)
+        for v in graph.vertices:
+            if len(internal[v]) < 2:
                 continue
-            for v in sorted(component, key=lambda q: q.id):
-                if len(internal[v]) < 2:
-                    continue
-                walks = []
-                for first in internal[v]:
-                    back = _cheapest_path(internal, steps, first.dst, v)
-                    walk = _as_walk([first] + back)
-                    cost = 1 + sum(steps[pair] for pair in walk)
-                    walks.append((cost, walk))
-                walks.sort(key=lambda cw: (cw[0], _walk_key(cw[1])))
-                (cost_a, walk_a), (cost_b, walk_b) = walks[0], walks[1]
-                candidates.append(
-                    RegularWitness(direction, v, walk_a, walk_b, cost_a, cost_b)
-                )
+            walks = []
+            for first in internal[v]:
+                back = _cheapest_path(internal, steps, first.dst, v)
+                walk = _as_walk([first] + back)
+                cost = 1 + sum(steps[pair] for pair in walk)
+                walks.append((cost, walk))
+            walks.sort(key=lambda cw: (cw[0], _walk_key(cw[1])))
+            (cost_a, walk_a), (cost_b, walk_b) = walks[0], walks[1]
+            candidates.append(RegularWitness(direction, v, walk_a, walk_b, cost_a, cost_b))
     if not candidates:
         return None
     return min(
@@ -211,43 +210,42 @@ def _cheapest_path(out_edges, steps, src: State, dst: State) -> list[ShiftEdge]:
     raise AssertionError(f"no path {src.name} -> {dst.name} inside a strongly connected component")
 
 
-def _strongly_connected_components(graph: ShiftGraph) -> list[frozenset[State]]:
-    """Tarjan's algorithm; parallel edges collapse for reachability purposes."""
+def _component_labels(graph: ShiftGraph) -> dict[State, State]:
+    """Label each vertex with a representative of its strongly connected component.
+
+    Kosaraju's algorithm, on explicit stacks so that no recursion limit applies.
+    """
     succ: dict[State, list[State]] = {v: [] for v in graph.vertices}
+    pred: dict[State, list[State]] = {v: [] for v in graph.vertices}
     for e in graph.edges:
-        if e.dst not in succ[e.src]:
-            succ[e.src].append(e.dst)
-    index: dict[State, int] = {}
-    low: dict[State, int] = {}
-    on_stack: set[State] = set()
-    stack: list[State] = []
-    counter = itertools.count()
-    components: list[frozenset[State]] = []
-
-    def connect(v: State) -> None:
-        index[v] = low[v] = next(counter)
-        stack.append(v)
-        on_stack.add(v)
-        for w in succ[v]:
-            if w not in index:
-                connect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            component = set()
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                component.add(w)
-                if w == v:
-                    break
-            components.append(frozenset(component))
-
-    for v in graph.vertices:
-        if v not in index:
-            connect(v)
-    return components
+        succ[e.src].append(e.dst)
+        pred[e.dst].append(e.src)
+    # Depth-first search; a vertex finishes when the marker pushed below its
+    # successors comes off the stack.
+    finished: list[State] = []
+    seen: set[State] = set()
+    stack = [(v, False) for v in reversed(graph.vertices)]
+    while stack:
+        v, done = stack.pop()
+        if done:
+            finished.append(v)
+        elif v not in seen:
+            seen.add(v)
+            stack.append((v, True))
+            stack.extend((w, False) for w in succ[v] if w not in seen)
+    # Searching back from the last finished unlabelled vertex reaches exactly its component.
+    label: dict[State, State] = {}
+    for root in reversed(finished):
+        if root in label:
+            continue
+        label[root] = root
+        todo = [root]
+        while todo:
+            for u in pred[todo.pop()]:
+                if u not in label:
+                    label[u] = root
+                    todo.append(u)
+    return label
 
 
 def verify_witness(machine: TuringMachine, witness: Union[StrongWitness, RegularWitness]) -> bool:

@@ -29,17 +29,13 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .machine import Configuration, State, Symbol, TuringMachine, step
+from .machine import BudgetExceededError, Configuration, State, Symbol, TuringMachine, step
 from .regularity import EntropyCertificate, certificate_to_json_dict, entropy_lower_bound
 
 #: One n-word: ((state, symbol), ...) of length n.
 TraceWord = tuple[tuple[State, Symbol], ...]
 
 DEFAULT_NODE_BUDGET = 10**8
-
-
-class BudgetExceededError(RuntimeError):
-    """The lazy enumerator visited more nodes than allowed; nothing was counted."""
 
 
 def count_words_oracle(

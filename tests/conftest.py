@@ -82,6 +82,54 @@ def alternator():
     return parse_machine(ALTERNATOR_TEXT)
 
 
+def _machine_text(n, rules, symbols=("0", "1")):
+    states = " ".join(f"q{i}" for i in range(n))
+    return (
+        f"states: {states} halt\nalphabet: {' '.join(symbols)}\nblank: {symbols[0]}\n"
+        "initial: q0\nhalting: halt\n" + "".join(rules)
+    )
+
+
+def cycle_machine_text(n):
+    """q_i 0 -> q_{i+1} 0 R and q_i 1 -> q_{i+1} 1 L (indices mod n).
+
+    Each shift graph is one n-vertex cycle, so there is no witness, and a
+    recursive component search would recurse n deep.
+    """
+    nxt = lambda i: (i + 1) % n
+    return _machine_text(
+        n, (f"q{i} 0 -> q{nxt(i)} 0 R\nq{i} 1 -> q{nxt(i)} 1 L\n" for i in range(n))
+    )
+
+
+def chain_machine_text(n):
+    """q_i s -> q_{i+1} s R for both symbols; the last state loops on itself instead."""
+    nxt = lambda i: min(i + 1, n - 1)
+    return _machine_text(
+        n, (f"q{i} {s} -> q{nxt(i)} {s} R\n" for i in range(n) for s in "01")
+    )
+
+
+def wide_machine_text(n_symbols):
+    """One state that keeps moving right over an alphabet of ``n_symbols`` symbols."""
+    symbols = tuple(f"s{i}" for i in range(n_symbols))
+    return _machine_text(1, (f"q0 {s} -> q0 {s} R\n" for s in symbols), symbols)
+
+
+@pytest.fixture(scope="session")
+def machine_files(tmp_path_factory):
+    """Paths of the 1500-state cycle and chain machines and a 17-symbol machine."""
+    root = tmp_path_factory.mktemp("machines")
+    texts = {
+        "cycle": cycle_machine_text(1500),
+        "chain": chain_machine_text(1500),
+        "wide": wide_machine_text(17),
+    }
+    for name, text in texts.items():
+        (root / f"{name}.tm").write_text(text)
+    return {name: str(root / f"{name}.tm") for name in texts}
+
+
 def machines(max_states=4, max_symbols=3, halt_prob=0.15):
     """Strategy producing seeded random machines."""
     return st.builds(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmdyn import cli, regularity, shift_analysis, words
+from tmdyn import cli, corpus_names, regularity, shift_analysis, words
 from tmdyn.cli import main
 
 HALTER_TEXT = """\
@@ -125,6 +125,80 @@ def test_analyze_on_random_file_bytes_never_raises(tmp_path_factory, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["analyze", "--file", str(path), "--conjugacy-samples", "5"])
     assert code in (0, 1, 2)
+
+
+# Flags of each subcommand, mapped to a strategy for their value (None for
+# switches); sizes stay small, so every command finishes quickly.
+_COMMON_FLAGS = {
+    "--halting-mode": st.sampled_from(["fixpoint", "restart"]),
+    "--seed": st.integers(-2, 9),
+    "--json": None,
+}
+_COMMAND_FLAGS = {
+    "analyze": {"--n-max": st.integers(0, 4), "--conjugacy-samples": st.integers(0, 20)},
+    "graph": {"--eps": st.sampled_from(["+1", "-1", "0"]), "--format": st.sampled_from(["dot", "png"])},
+    "entropy": {
+        "--n-max": st.integers(0, 3),  # the oracle takes seconds at n = 4
+        "--oracle": None,
+        "--node-budget": st.integers(0, 10_000),
+        "--initial-only": None,
+    },
+    "simulate": {
+        "--state": st.sampled_from(["q0", "u2", "halt", "nope"]),
+        "--tape": st.sampled_from(["", "1 0 1", "b d", "?"]),
+        "--offset": st.integers(-3, 3),
+        "--steps": st.integers(-1, 50),
+        "--trace": None,
+    },
+    "gshift": {"--verify": st.integers(0, 20), "--dump": None},
+}
+_FIRST_FLAGS = {
+    "analyze": ["--conjugacy-samples"],
+    "graph": ["--eps"],
+    "entropy": ["--n-max"],
+    "simulate": ["--steps"],
+    "gshift": ["--verify", "--dump"],
+}
+
+
+@st.composite
+def cli_argvs(draw, files):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    sources = [["--machine", name] for name in (*corpus_names(), "nope")]
+    sources += [["--file", path] for path in (*files.values(), "/no/such/file.tm")]
+    argv = [command, *draw(st.sampled_from(sources))]
+    flags = {**_COMMON_FLAGS, **_COMMAND_FLAGS[command]}
+    # the flag each command needs first (its default sample count is 200 for
+    # analyze), then a few more; a repeated flag takes its last value
+    first = draw(st.sampled_from(_FIRST_FLAGS[command]))
+    for flag in [first, *draw(st.lists(st.sampled_from(sorted(flags)), max_size=4))]:
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(str(draw(flags[flag])))
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_random_argv_never_raises(machine_files, data):
+    argv = data.draw(cli_argvs(machine_files))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+
+
+def test_analyze_long_cycle_has_no_witness(capsys, machine_files):
+    code, out, _ = run_cli(capsys, "analyze", "--file", machine_files["cycle"])
+    assert code == 0
+    assert json.loads(out)["certificate"]["verdict"] == "no-witness-found"
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["entropy", "--n-max", "2"]])
+def test_alphabet_over_cap_is_analysis_failure(capsys, machine_files, command):
+    code, out, err = run_cli(capsys, *command, "--file", machine_files["wide"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "cap 16" in err and err.count("\n") == 1
 
 
 def test_unknown_corpus_name(capsys):

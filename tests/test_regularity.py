@@ -1,11 +1,13 @@
+import itertools
 import math
-import random
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmdyn import (
+    BudgetExceededError,
     RegularWitness,
     StrongWitness,
     certificate_to_json_dict,
@@ -13,13 +15,13 @@ from tmdyn import (
     check_strong_regularity,
     count_words,
     entropy_lower_bound,
-    random_machine,
+    parse_machine,
     shift_graph,
     verify_witness,
 )
-from tmdyn.regularity import NO_WITNESS, REGULAR, STRONGLY_REGULAR
+from tmdyn.regularity import MAX_ALPHABET, NO_WITNESS, REGULAR, STRONGLY_REGULAR, _component_labels
 
-from conftest import machines
+from conftest import chain_machine_text, machines, wide_machine_text
 
 
 def brute_force_regular(machine):
@@ -96,10 +98,9 @@ def test_verify_rejects_broken_block(utm):
 
 
 def test_alphabet_cap():
-    with pytest.raises(ValueError, match="cap"):
-        check_strong_regularity(
-            random_machine(random.Random(0), max_states=2, max_symbols=2), max_alphabet=1
-        )
+    assert check_strong_regularity(parse_machine(wide_machine_text(MAX_ALPHABET))) is not None
+    with pytest.raises(BudgetExceededError, match="cap 16"):
+        check_strong_regularity(parse_machine(wide_machine_text(MAX_ALPHABET + 1)))
 
 
 # --- regularity -----------------------------------------------------------------
@@ -160,10 +161,33 @@ def test_self_loop_doubling():
     assert (w.cost_a, w.cost_b) == (3, 3)
 
 
-@given(machines())
+def test_long_chain_finds_the_self_loops_at_its_end():
+    # the chain is deeper than Python's recursion limit
+    m = parse_machine(chain_machine_text(1500))
+    w = check_regularity(m)
+    assert w.base == m.state_named("q1499")
+    assert (w.cost_a, w.cost_b) == (3, 3)
+    assert verify_witness(m, w)
+
+
+@given(st.one_of(machines(), machines(max_states=8)))
 @settings(max_examples=150, deadline=None)
 def test_scc_criterion_matches_brute_force(machine):
+    # up to 8 states, so that components of several vertices and several
+    # components per graph occur
     assert (check_regularity(machine) is not None) == brute_force_regular(machine)
+
+
+@given(machines(max_states=8))
+@settings(max_examples=100, deadline=None)
+def test_component_labels_are_mutual_reachability(machine):
+    for direction in (1, -1):
+        graph = shift_graph(machine, direction)
+        label = _component_labels(graph)
+        bound = len(graph.vertices)
+        for v, w in itertools.product(graph.vertices, repeat=2):
+            mutual = _reachable(graph, v, w, bound) and _reachable(graph, w, v, bound)
+            assert (label[v] == label[w]) == mutual
 
 
 @given(machines())
