@@ -25,10 +25,10 @@ from .machine import (
     RunResult,
     TuringMachine,
     format_config,
+    iterate,
     make_config,
     parse_machine,
     run,
-    step,
 )
 from .regularity import certificate_to_json_dict, entropy_lower_bound
 from .shift_analysis import ShiftGraph, graph_to_dot, shift_graph, shift_table, shift_table_rows
@@ -189,8 +189,7 @@ def cmd_analyze(machine: TuringMachine, source: dict, args) -> int:
 
 
 def cmd_graph(machine: TuringMachine, source: dict, args) -> int:
-    direction = 1 if args.eps == "+1" else -1
-    sys.stdout.write(graph_to_dot(shift_graph(machine, direction)))
+    sys.stdout.write(graph_to_dot(shift_graph(machine, int(args.eps))))
     return 0
 
 
@@ -225,9 +224,11 @@ def cmd_simulate(machine: TuringMachine, source: dict, args) -> int:
     config = make_config(machine, state, args.tape, args.offset)
     if args.trace:
         # One pass that keeps every configuration; without --trace only run's final one.
-        trail = [config]
-        while len(trail) <= args.steps and trail[-1].state != machine.halting:
-            trail.append(step(machine, trail[-1]))
+        trail = []
+        for c in iterate(machine, config, args.steps):
+            trail.append(c)
+            if c.state == machine.halting:
+                break
         taken, halted = len(trail) - 1, trail[-1].state == machine.halting
         result = RunResult(halted, taken, trail[-1], taken if halted else None)
     else:

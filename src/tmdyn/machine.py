@@ -170,8 +170,8 @@ class Configuration:
     """Machine state plus sparse tape; the head always reads cell 0.
 
     Canonical form: the tape dict never stores the blank symbol, so dataclass
-    equality is configuration equality.  The constructors in this module
-    (:func:`make_config`, :func:`step`) always produce canonical tapes.
+    equality is configuration equality.  :func:`make_config`, :func:`step` and
+    :func:`run` always produce canonical tapes.
     """
 
     state: State
@@ -251,21 +251,26 @@ def step(machine: TuringMachine, config: Configuration) -> Configuration:
 
 
 def run(machine: TuringMachine, config: Configuration, max_steps: int) -> RunResult:
-    """Iterate :func:`step` until the halting state is reached or the budget runs out.
+    """Run the one-step map until it halts or has taken ``max_steps`` steps.
 
-    Halting is undecidable, so the budget is mandatory; a run that does not
-    halt within ``max_steps`` comes back with ``halted=False``, never an
-    exception.
+    Equal to iterated :func:`step`, and tested against it, at O(1) per step
+    plus one final re-index.  The budget is mandatory because halting is
+    undecidable; a run that does not halt comes back with ``halted=False``.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    current = config
-    steps = 0
-    while current.state != machine.halting and steps < max_steps:
-        current = step(machine, current)
-        steps += 1
-    halted = current.state == machine.halting
-    return RunResult(halted, steps, current, steps if halted else None)
+    rules, blank, halting = machine.rules, machine.blank, machine.halting
+    state, tape, head, steps = config.state, dict(config.tape), 0, 0
+    while state != halting and steps < max_steps:
+        tr = rules[(state, tape.get(head, blank))]
+        if tr.write == blank:
+            tape.pop(head, None)
+        else:
+            tape[head] = tr.write
+        state, head, steps = tr.next_state, head + tr.move, steps + 1
+    halted = state == halting
+    final = Configuration(state, {i - head: s for i, s in tape.items()})
+    return RunResult(halted, steps, final, steps if halted else None)
 
 
 def iterate(machine: TuringMachine, config: Configuration, steps: int) -> Iterator[Configuration]:

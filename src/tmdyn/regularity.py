@@ -334,17 +334,15 @@ def certificate_to_json_dict(certificate: EntropyCertificate) -> dict:
             "decimal": certificate.bound_float(),
         }
     witness = None
-    direction = None
     w = certificate.witness
+    direction = None if w is None else w.direction
     if isinstance(w, StrongWitness):
-        direction = w.direction
         witness = {
             "type": "strong-block",
             "states": sorted(q.name for q in w.states),
             "symbols": sorted(s.name for s in w.symbols),
         }
     elif isinstance(w, RegularWitness):
-        direction = w.direction
         witness = {
             "type": "closed-walks",
             "base": w.base.name,

@@ -104,9 +104,6 @@ class ShiftGraph:
     vertices: tuple[State, ...]
     edges: tuple[ShiftEdge, ...]
 
-    def out_edges(self, v: State) -> tuple[ShiftEdge, ...]:
-        return tuple(e for e in self.edges if e.src == v)
-
 
 def shift_graph(
     machine: TuringMachine,
@@ -140,16 +137,14 @@ def graph_to_dot(graph: ShiftGraph) -> str:
 
 def shift_table_rows(table: dict[tuple[State, Symbol], ShiftOutcome]) -> list[dict]:
     """A shift table as JSON-friendly rows (state, symbol, kind, direction, exit, steps), in table order."""
-    rows = []
-    for (q, s), out in table.items():
-        rows.append(
-            {
-                "state": q.name,
-                "symbol": s.name,
-                "kind": out.kind,
-                "direction": out.direction,
-                "exit_state": out.exit_state.name if out.exit_state else None,
-                "steps": out.steps,
-            }
-        )
-    return rows
+    return [
+        {
+            "state": q.name,
+            "symbol": s.name,
+            "kind": out.kind,
+            "direction": out.direction,
+            "exit_state": out.exit_state.name if out.exit_state else None,
+            "steps": out.steps,
+        }
+        for (q, s), out in table.items()
+    ]

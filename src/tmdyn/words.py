@@ -216,7 +216,10 @@ def word_set(
 class WordCountRow:
     n: int
     count: int
-    estimate: float  # log(count) / n, an upper bound on the entropy
+
+    @property
+    def estimate(self) -> float:  # log(count) / n, an upper bound on the entropy
+        return math.log(self.count) / self.n
 
 
 @dataclass(frozen=True)
@@ -256,7 +259,7 @@ def entropy_estimates(
         except BudgetExceededError as exc:
             budget_error = str(exc)
             break
-        rows.append(WordCountRow(n, count, math.log(count) / n))
+        rows.append(WordCountRow(n, count))
     return WordCountReport(tuple(rows), entropy_lower_bound(machine), budget_error)
 
 
@@ -265,10 +268,8 @@ def report_to_csv(report: WordCountReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["n", "count", "e_n", "min_e_n"])
-    running = math.inf
-    for row in report.rows:
-        running = min(running, row.estimate)
-        writer.writerow([row.n, row.count, f"{row.estimate:.20g}", f"{running:.20g}"])
+    for row in report_to_json_dict(report)["rows"]:
+        writer.writerow([row["n"], row["count"], f"{row['e_n']:.20g}", f"{row['min_e_n']:.20g}"])
     return out.getvalue()
 
 

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Every tolerance is exact (integer or rational comparisons) except
-the two wall-clock limits, which are generous.
+the three wall-clock limits, which are generous.
 """
 
 import random
@@ -231,3 +231,20 @@ def test_criterion_11_cantor_coding():
         points.add(cantor_encode(bits))
     ok = examples_ok and len(points) == 2**11
     _report(11, "cantor coding matches exact rationals and is injective on [-5, 5]", ok)
+
+
+def test_criterion_12_long_run_costs_constant_time_per_step(utm):
+    # From the blank tape utm_6_4 writes b and moves left forever, so after k
+    # steps it is in u1 with b on cells 1..k: the tape grows with every step.
+    k = 200_000
+    t0 = time.perf_counter()
+    result = run(utm, Configuration(utm.initial, {}), k)
+    elapsed = time.perf_counter() - t0
+    b = utm.symbol_named("b")
+    ok = (
+        not result.halted
+        and result.steps_taken == k
+        and result.final == Configuration(utm.initial, {i: b for i in range(1, k + 1)})
+        and elapsed < 5.0
+    )
+    _report(12, f"utm_6_4 runs {k} steps from the blank tape within 5 s ({elapsed:.2f} s)", ok)

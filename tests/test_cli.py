@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmdyn import cli, corpus_names, regularity, shift_analysis, words
+from tmdyn import cli, corpus_names, machine, regularity, shift_analysis, words
 from tmdyn.cli import main
 
 HALTER_TEXT = """\
@@ -362,7 +362,8 @@ def test_simulate_runs_the_orbit_once(capsys, monkeypatch, trace):
 
         return wrapper
 
-    monkeypatch.setattr(cli, "step", counted("step", cli.step))
+    # Counted where it is defined, so calls made inside iterate or run count too.
+    monkeypatch.setattr(machine, "step", counted("step", machine.step))
     monkeypatch.setattr(cli, "run", counted("run", cli.run))
     argv = ["simulate", "--machine", "utm_6_4", "--steps", "40", "--json"]
     code, out, _ = run_cli(capsys, *argv, *(["--trace"] if trace else []))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tmdyn import (
     MachineFormatError,
     MachineValidationError,
+    RunResult,
     Transition,
     distance,
     make_config,
@@ -18,7 +19,7 @@ from tmdyn import (
     step,
 )
 from tmdyn.corpus import UTM_6_4_TEXT
-from tmdyn.machine import Configuration, iterate
+from tmdyn.machine import HALTING_MODES, Configuration, iterate
 
 from conftest import machine_configs, machines
 
@@ -245,6 +246,29 @@ def test_run_utm_blank_tape_regression(utm):
 def test_run_negative_budget_rejected(utm):
     with pytest.raises(ValueError):
         run(utm, make_config(utm, utm.initial), -1)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(HALTING_MODES),
+    offset=st.integers(-40, 40),
+    k=st.one_of(st.sampled_from([0, 1]), st.integers(0, 300)),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_run_equals_iterated_step(seed, mode, offset, k, data):
+    # run moves a head index over its own tape; the reference is k-fold step,
+    # stopped at the halting state or at k, from any state (halting included).
+    machine = random_machine(random.Random(seed), halting_mode=mode)
+    state = data.draw(st.sampled_from(machine.states))
+    window = data.draw(st.lists(st.sampled_from(machine.alphabet), max_size=10))
+    x = make_config(machine, state, window, offset)
+    current, taken = x, 0
+    while current.state != machine.halting and taken < k:
+        current = step(machine, current)
+        taken += 1
+    halted = current.state == machine.halting
+    assert run(machine, x, k) == RunResult(halted, taken, current, taken if halted else None)
 
 
 # --- metric -------------------------------------------------------------------

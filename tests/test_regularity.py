@@ -36,11 +36,15 @@ def brute_force_regular(machine):
         bound = 2 * len(graph.edges)
         for v in graph.vertices:
             closing = [
-                e for e in graph.out_edges(v) if _reachable(graph, e.dst, v, bound - 1)
+                e for e in _out_edges(graph, v) if _reachable(graph, e.dst, v, bound - 1)
             ]
             if len(closing) >= 2:
                 return True
     return False
+
+
+def _out_edges(graph, v):
+    return [e for e in graph.edges if e.src == v]
 
 
 def _reachable(graph, src, dst, bound):
@@ -54,7 +58,7 @@ def _reachable(graph, src, dst, bound):
         v, depth = frontier.popleft()
         if depth == bound:
             continue
-        for e in graph.out_edges(v):
+        for e in _out_edges(graph, v):
             if e.dst == dst:
                 return True
             if e.dst not in seen:
