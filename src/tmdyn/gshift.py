@@ -23,12 +23,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Hashable, Mapping
 
-from .machine import Configuration, State, Symbol, TuringMachine, step
+from .machine import Configuration, State, Symbol, TuringMachine, _is_member, step
 
 Token = Hashable
 Window = tuple
+
+
+class SequenceAlphabet(tuple):
+    """The ordered tokens of a sequence space plus their membership set.
+
+    A tuple, so it iterates, indexes and compares like the plain tuple it
+    replaces; the frozenset is built once, on first use.  Sequences that
+    share one alphabet compare it by identity, in O(1).
+    """
+
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(self)
 
 
 @dataclass(frozen=True)
@@ -37,7 +51,9 @@ class ASequence:
 
     Cells holding the default are never stored, so equality of the dataclass
     fields is equality of sequences.  The constructor canonicalizes and
-    validates, so any ASequence in hand is well formed.
+    validates, so any ASequence in hand is well formed.  A plain ``alphabet``
+    is wrapped in a :class:`SequenceAlphabet`; a shared one is kept, so each
+    sequence of a replay costs O(its cells), independent of |states| + |alphabet|.
     """
 
     alphabet: tuple[Token, ...]
@@ -45,9 +61,11 @@ class ASequence:
     cells: dict[int, Token]
 
     def __post_init__(self) -> None:
-        if self.default not in self.alphabet:
+        if not isinstance(self.alphabet, SequenceAlphabet):
+            object.__setattr__(self, "alphabet", SequenceAlphabet(self.alphabet))
+        known = self.alphabet.members
+        if self.default not in known:
             raise ValueError("default symbol must be in the alphabet")
-        known = set(self.alphabet)
         clean = {}
         for i, v in self.cells.items():
             if v not in known:
@@ -93,32 +111,33 @@ def gshift_step(shift: GeneralizedShift, seq: ASequence) -> ASequence:
     r = shift.radius
     replacement, amount = shift.apply_window(seq.window(-r, r))
     cells = dict(seq.cells)
-    for offset, value in zip(range(-r, r + 1), replacement):
-        if value == seq.default:
-            cells.pop(offset, None)
-        else:
-            cells[offset] = value
+    cells.update(zip(range(-r, r + 1), replacement))  # the constructor drops defaults
     if amount != 0:
         cells = {i - amount: v for i, v in cells.items()}
     return ASequence(seq.alphabet, seq.default, cells)
 
 
-def sequence_alphabet(machine: TuringMachine) -> tuple[Token, ...]:
+def sequence_alphabet(machine: TuringMachine) -> SequenceAlphabet:
     """The compiled alphabet: blank first (it is the default), then the rest."""
     rest = tuple(s for s in machine.alphabet if s != machine.blank)
-    return (machine.blank,) + rest + tuple(machine.states)
+    return SequenceAlphabet((machine.blank,) + rest + tuple(machine.states))
 
 
 def embed(machine: TuringMachine, config: Configuration) -> ASequence:
     """Configuration -> sequence: state at cell 0, tape split around it.
 
     Cell i holds tape cell i - 1 for i >= 1 and tape cell i for i <= -1, so
-    the head symbol sits immediately to the right of the state.
+    the head symbol sits immediately to the right of the state.  A replay builds
+    the :func:`sequence_alphabet` once, so its embeddings cost O(their cells).
     """
+    return _embed(sequence_alphabet(machine), config)
+
+
+def _embed(alphabet: SequenceAlphabet, config: Configuration) -> ASequence:
     cells: dict[int, Token] = {0: config.state}
     for i, s in config.tape.items():
         cells[i + 1 if i >= 0 else i] = s
-    return ASequence(sequence_alphabet(machine), machine.blank, cells)
+    return ASequence(alphabet, alphabet[0], cells)
 
 
 class NotInImageError(ValueError):
@@ -128,7 +147,7 @@ class NotInImageError(ValueError):
 def unembed(machine: TuringMachine, seq: ASequence) -> Configuration:
     """Inverse of :func:`embed` on its image; raises :class:`NotInImageError` off it."""
     state = seq.at(0)
-    if not isinstance(state, State) or state not in machine.states:
+    if not _is_member(machine.states, state):
         raise NotInImageError("cell 0 does not hold a state")
     tape = {}
     for i, v in seq.cells.items():
@@ -195,10 +214,13 @@ def verify_conjugacy(
     For each sample the check is: compiled shift applied to the embedding
     equals the embedding of the machine step.  Failures are counted, not
     raised; the first failing configuration is reported for debugging.  Pass
-    ``shift`` to check a table other than the freshly compiled one.
+    ``shift`` to check a table other than the freshly compiled one.  The
+    sequence alphabet is built once per replay and shared by every sequence,
+    so a sample costs O(its cells), independent of |states| + |alphabet|.
     """
     if shift is None:
         shift = compile_gshift(machine)
+    alphabet = sequence_alphabet(machine)
     rng = random.Random(seed)
     passes = failures = 0
     first = None
@@ -212,8 +234,8 @@ def verify_conjugacy(
             if s != machine.blank:
                 tape[offset + i] = s
         config = Configuration(state, tape)
-        via_shift = gshift_step(shift, embed(machine, config))
-        via_machine = embed(machine, step(machine, config))
+        via_shift = gshift_step(shift, _embed(alphabet, config))
+        via_machine = _embed(alphabet, step(machine, config))
         if via_shift == via_machine:
             passes += 1
         else:
@@ -286,10 +308,8 @@ def format_sequence(seq: ASequence, radius: int | None = None) -> str:
     """Render as ``… a b . c d …`` with cell 0 right after the dot."""
     if radius is None:
         radius = max((abs(i) for i in seq.cells), default=0) + 1
-    def name(token: Token) -> str:
-        return token.name if isinstance(token, (State, Symbol)) else str(token)
-    left = " ".join(name(seq.at(i)) for i in range(-radius, 0))
-    right = " ".join(name(seq.at(i)) for i in range(0, radius + 1))
+    left = " ".join(str(seq.at(i)) for i in range(-radius, 0))
+    right = " ".join(str(seq.at(i)) for i in range(0, radius + 1))
     return f"… {left} . {right} …"
 
 

@@ -91,6 +91,12 @@ class Transition:
             raise MachineValidationError(f"move must be -1, 0 or +1, got {self.move!r}")
 
 
+def _is_member(items: tuple, item: object) -> bool:
+    """``item in items`` in O(1), for the tuples of a machine, whose ids index them."""
+    i = getattr(item, "id", None)
+    return isinstance(i, int) and 0 <= i < len(items) and items[i] == item
+
+
 @dataclass(frozen=True)
 class TuringMachine:
     """A deterministic machine with a total table on (states \\ halting) x alphabet.
@@ -118,10 +124,10 @@ class TuringMachine:
                 raise MachineValidationError(f"duplicate {kind} names")
             if [item.id for item in seq] != list(range(len(seq))):
                 raise MachineValidationError(f"{kind} ids must be 0..{len(seq) - 1}")
-        if self.blank not in self.alphabet:
+        if not _is_member(self.alphabet, self.blank):
             raise MachineValidationError("blank symbol is not in the alphabet")
         for q in (self.initial, self.halting):
-            if q not in self.states:
+            if not _is_member(self.states, q):
                 raise MachineValidationError(f"state {q.name!r} is not in the state list")
         if self.halting_mode not in HALTING_MODES:
             raise MachineValidationError(f"unknown halting mode {self.halting_mode!r}")
@@ -131,9 +137,8 @@ class TuringMachine:
                 raise MachineValidationError(f"missing rule for ({q.name}, {s.name})")
         for q, s in set(self.rules).difference(expected):
             raise MachineValidationError(f"unexpected rule for ({q.name}, {s.name})")
-        states, alphabet = set(self.states), set(self.alphabet)
         for (q, s), tr in self.rules.items():
-            if tr.next_state not in states or tr.write not in alphabet:
+            if not (_is_member(self.states, tr.next_state) and _is_member(self.alphabet, tr.write)):
                 raise MachineValidationError(
                     f"rule for ({q.name}, {s.name}) references an unknown state or symbol"
                 )
@@ -204,27 +209,22 @@ def make_config(
     tape = {
         offset + i: s for i, s in enumerate(symbols) if s != machine.blank
     }
-    if state not in machine.states:
+    if not _is_member(machine.states, state):
         raise MachineError(f"state {state.name!r} is not a state of this machine")
     return Configuration(state, tape)
 
 
 def _resolve_window(machine, window) -> list[Symbol]:
     if isinstance(window, str):
-        if not window:
-            return []
-        tokens = window.split()
         names = {s.name for s in machine.alphabet}
-        if all(t in names for t in tokens):
-            return [machine.symbol_named(t) for t in tokens]
-        if all(c in names for c in window):
-            return [machine.symbol_named(c) for c in window]
-        bad = next(t for t in tokens if t not in names)
-        raise MachineError(f"unknown symbol {bad!r}")
+        tokens = window.split()
+        if not all(t in names for t in tokens) and all(c in names for c in window):
+            tokens = list(window)
+        window = tokens
     out = []
     for item in window:
         if isinstance(item, Symbol):
-            if item not in machine.alphabet:
+            if not _is_member(machine.alphabet, item):
                 raise MachineError(f"symbol {item.name!r} is not in the alphabet")
             out.append(item)
         else:

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Every tolerance is exact (integer or rational comparisons) except
-the three wall-clock limits, which are generous.
+the five wall-clock limits, which are generous.
 """
 
 import random
@@ -18,6 +18,7 @@ from tmdyn import (
     count_words_oracle,
     distance,
     entropy_lower_bound,
+    parse_machine,
     random_machine,
     run,
     shift_graph,
@@ -26,8 +27,11 @@ from tmdyn import (
     verify_witness,
     word_set,
 )
+from tmdyn.cli import main
 from tmdyn.machine import Configuration, iterate
 from tmdyn.regularity import STRONGLY_REGULAR
+
+from conftest import cycle_machine_text
 
 
 def _report(criterion, description, ok):
@@ -248,3 +252,24 @@ def test_criterion_12_long_run_costs_constant_time_per_step(utm):
         and elapsed < 5.0
     )
     _report(12, f"utm_6_4 runs {k} steps from the blank tape within 5 s ({elapsed:.2f} s)", ok)
+
+
+def test_criterion_13_conjugacy_replay_costs_its_cells():
+    # The 1500-state cycle machine has a 1502-token sequence alphabet, but a
+    # replayed sample touches only a few cells, so the replay must not pay for
+    # the alphabet per sample (building it per sequence is about 30x slower).
+    machine = parse_machine(cycle_machine_text(1500))
+    t0 = time.perf_counter()
+    report = verify_conjugacy(machine, samples=2000, seed=0)
+    elapsed = time.perf_counter() - t0
+    ok = report.passes == 2000 and elapsed < 1.0
+    _report(13, f"1500-state cycle: 2000 conjugacy samples within 1 s ({elapsed:.2f} s)", ok)
+
+
+def test_criterion_14_analyze_large_machine(capsys, machine_files):
+    t0 = time.perf_counter()
+    code = main(["analyze", "--file", machine_files["cycle"]])
+    elapsed = time.perf_counter() - t0
+    capsys.readouterr()
+    ok = code == 0 and elapsed < 2.0
+    _report(14, f"analyze on the 1500-state cycle exits 0 within 2 s ({elapsed:.2f} s)", ok)

@@ -2,8 +2,9 @@
 
 Each file holds the stdout of one command on a corpus machine, as produced
 before the memoised word counter and the single-pass ``simulate`` replaced
-their slower predecessors.  A faster or simpler implementation must give the
-same bytes; regenerate a file only when an output change is intended.
+their slower predecessors (the ``gshift`` files: before the conjugacy replay
+shared one sequence alphabet).  A faster or simpler implementation must give
+the same bytes; regenerate a file only when an output change is intended.
 """
 
 from pathlib import Path
@@ -32,6 +33,10 @@ for machine in ("utm_6_4", "wutm_6_2"):
         CASES[f"entropy_{machine}_{mode}.csv"] = ["entropy", *common, "--n-max", "10"]
         CASES[f"entropy_{machine}_{mode}.json"] = ["entropy", *common, "--n-max", "10", "--json"]
         CASES[f"analyze_{machine}_{mode}.json"] = ["analyze", *common, "--n-max", "8"]
+        verify = ["gshift", *common, "--verify", "500", "--seed", "3"]
+        CASES[f"gshift_{machine}_{mode}_dump.json"] = ["gshift", *common, "--dump"]
+        CASES[f"gshift_{machine}_{mode}_verify.txt"] = verify
+        CASES[f"gshift_{machine}_{mode}_verify.json"] = [*verify, "--json"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

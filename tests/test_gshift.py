@@ -9,6 +9,7 @@ from tmdyn import (
     CantorPoint,
     GeneralizedShift,
     NotInImageError,
+    State,
     block_encode,
     cantor_encode,
     compile_gshift,
@@ -18,10 +19,12 @@ from tmdyn import (
     gshift_step,
     gshift_to_json_dict,
     make_config,
+    parse_machine,
     step,
     unembed,
     verify_conjugacy,
 )
+from tmdyn.corpus import UTM_6_4_TEXT
 from tmdyn.machine import Configuration
 
 from conftest import machine_configs
@@ -92,6 +95,33 @@ def test_unembed_examples(utm):
         unembed(utm, ASequence(alphabet, utm.blank, {0: q, 2: utm.state_named("u1")}))
 
 
+def test_unembed_rejects_foreign_state_ids(utm):
+    # Cell 0 holds a state token of the sequence's alphabet that is not a
+    # state of the machine: out-of-range id, or id 0 with a foreign name.
+    alphabet = tuple(embed(utm, make_config(utm, utm.initial)).alphabet)
+    for foreign in (State(len(utm.states), "u1"), State(-1, "u1"), State(0, "zz")):
+        seq = ASequence(alphabet + (foreign,), utm.blank, {0: foreign})
+        with pytest.raises(NotInImageError, match="cell 0 does not hold a state"):
+            unembed(utm, seq)
+
+
+def test_embed_is_equal_across_separate_parses():
+    x_text = "b d g c"
+    one, two = parse_machine(UTM_6_4_TEXT), parse_machine(UTM_6_4_TEXT)
+    x1 = make_config(one, one.state_named("u3"), x_text, -2)
+    x2 = make_config(two, two.state_named("u3"), x_text, -2)
+    assert embed(one, x1) == embed(two, x2)
+    assert embed(one, x1).alphabet is not embed(two, x2).alphabet
+
+
+def test_plain_tuple_sequence_equals_embedding(utm):
+    x = make_config(utm, utm.state_named("u2"), "b c d", -1)
+    seq = embed(utm, x)
+    plain = ASequence(tuple(seq.alphabet), utm.blank, dict(seq.cells))
+    assert plain == seq
+    assert plain.alphabet == seq.alphabet and plain.cells == seq.cells
+
+
 @given(machine_configs())
 @settings(max_examples=60)
 def test_embed_round_trip(mc):
@@ -148,6 +178,19 @@ def test_compiled_step_matches_machine_step(utm):
     assert gshift_step(shift, embed(utm, x)) == embed(utm, step(utm, x))
 
 
+def test_compiled_step_rejects_off_alphabet_replacement(utm):
+    # The cells gshift_step writes are checked against the alphabet too.
+    shift = compile_gshift(utm)
+    rules = dict(shift.rules)
+    g, b = utm.symbol_named("g"), utm.symbol_named("b")
+    u2 = utm.state_named("u2")
+    rules[(g, u2, b)] = ((g, "zzz", u2), 1)
+    corrupted = GeneralizedShift(1, rules)
+    x = make_config(utm, u2, "b", 0)
+    with pytest.raises(ValueError, match="not in the alphabet"):
+        gshift_step(corrupted, embed(utm, x))
+
+
 def test_window_length_validated():
     with pytest.raises(ValueError):
         GeneralizedShift(1, {("a",): (("a",), 0)})
@@ -172,8 +215,9 @@ def test_conjugacy_detects_corruption(utm):
     rules[(g, u2, b)] = ((b, b, u2), 1)  # wrong replacement
     corrupted = GeneralizedShift(1, rules)
     report = verify_conjugacy(utm, samples=2000, seed=3, shift=corrupted)
-    assert report.failures > 0
-    assert report.first_counterexample is not None
+    # Exact values pin the sampling order and its seed.
+    assert (report.passes, report.failures) == (1984, 16)
+    assert report.first_counterexample == make_config(utm, u2, "b d c", 0)
 
 
 @given(machine_configs())

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmdyn import (
+    MachineError,
     MachineFormatError,
     MachineValidationError,
     RunResult,
+    State,
+    Symbol,
     Transition,
     distance,
     make_config,
@@ -350,6 +353,19 @@ def test_make_config_examples(utm):
 def test_make_config_rejects_foreign_symbol(utm):
     with pytest.raises(Exception, match="unknown symbol"):
         make_config(utm, utm.initial, "z", 0)
+
+
+@pytest.mark.parametrize("bad_id", [-1, 7, 99, 1.5, None])
+def test_make_config_rejects_foreign_ids(utm, bad_id):
+    # Membership is checked through the id index; an id off that index is a
+    # foreign item, never an IndexError.  Id 0 with a foreign name is too.
+    assert len(utm.states) == 7 and len(utm.alphabet) == 4
+    for state in (State(bad_id, "u1"), State(0, "zz")):
+        with pytest.raises(MachineError, match="is not a state of this machine"):
+            make_config(utm, state)
+    for symbol in (Symbol(bad_id, "b"), Symbol(0, "zz")):
+        with pytest.raises(MachineError, match="is not in the alphabet"):
+            make_config(utm, utm.initial, [symbol])
 
 
 @given(machine_configs())
