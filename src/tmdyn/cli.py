@@ -10,6 +10,7 @@ failure, exhausted budget), 2 usage or machine-format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -82,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", parents=[common], help="word counts and entropy estimates")
     p.add_argument("--n-max", type=_int_at_least(1), required=True)
     p.add_argument("--oracle", action="store_true", help="check rows n <= 4 against the brute-force oracle")
-    p.add_argument("--node-budget", type=_int_at_least(1), default=DEFAULT_NODE_BUDGET)
+    budget_help = "work units per row; memo hits are free"
+    p.add_argument("--node-budget", type=_int_at_least(1), default=DEFAULT_NODE_BUDGET, help=budget_help)
     p.add_argument(
         "--initial-only",
         action="store_true",
@@ -173,18 +175,15 @@ def cmd_analyze(machine: TuringMachine, source: dict, args) -> int:
         "certificate": certificate_to_json_dict(certificate),
         "conjugacy": _conjugacy_json(conj),
     }
-    budget_error = None
     if words is not None:
         report["word_counts"] = report_to_json_dict(words)
-        budget_error = words.budget_error
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    if budget_error:
-        print(f"error: {budget_error}", file=sys.stderr)
-        return 1
+    if words is not None and words.budget_error:
+        raise BudgetExceededError(words.budget_error)  # after the report; main exits 1
     return 1 if conj.failures else 0
 
 
@@ -198,9 +197,7 @@ def cmd_entropy(machine: TuringMachine, source: dict, args) -> int:
         machine, args.n_max, node_budget=args.node_budget, initial_only=args.initial_only
     )
     if args.oracle:
-        for row in report.rows:
-            if row.n > 4:
-                continue
+        for row in report.rows[:4]:  # rows are n = 1, 2, ...
             expected = count_words_oracle(machine, row.n, initial_only=args.initial_only)
             if expected != row.count:
                 print(
@@ -214,8 +211,7 @@ def cmd_entropy(machine: TuringMachine, source: dict, args) -> int:
     else:
         sys.stdout.write(report_to_csv(report))
     if report.budget_error:
-        print(f"error: {report.budget_error}", file=sys.stderr)
-        return 1
+        raise BudgetExceededError(report.budget_error)
     return 0
 
 
@@ -284,10 +280,12 @@ _COMMANDS = {
 }
 
 
+_parser = functools.cache(build_parser)  # built on the first main call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:

@@ -206,12 +206,8 @@ def make_config(
     name) a plain string like ``"bgg"``.  Blank cells are not stored.
     """
     symbols = _resolve_window(machine, window)
-    tape = {
-        offset + i: s for i, s in enumerate(symbols) if s != machine.blank
-    }
-    if not _is_member(machine.states, state):
-        raise MachineError(f"state {state.name!r} is not a state of this machine")
-    return Configuration(state, tape)
+    _check_members(machine, state, symbols)
+    return Configuration(state, {offset + i: s for i, s in enumerate(symbols) if s != machine.blank})
 
 
 def _resolve_window(machine, window) -> list[Symbol]:
@@ -221,15 +217,16 @@ def _resolve_window(machine, window) -> list[Symbol]:
         if not all(t in names for t in tokens) and all(c in names for c in window):
             tokens = list(window)
         window = tokens
-    out = []
-    for item in window:
-        if isinstance(item, Symbol):
-            if not _is_member(machine.alphabet, item):
-                raise MachineError(f"symbol {item.name!r} is not in the alphabet")
-            out.append(item)
-        else:
-            out.append(machine.symbol_named(item))
-    return out
+    return [item if isinstance(item, Symbol) else machine.symbol_named(item) for item in window]
+
+
+def _check_members(machine: TuringMachine, state: State, symbols) -> None:
+    """Raise :class:`MachineError` unless ``state`` and every one of ``symbols`` belong to ``machine``."""
+    if not _is_member(machine.states, state):
+        raise MachineError(f"state {state.name!r} is not a state of this machine")
+    for s in symbols:
+        if not _is_member(machine.alphabet, s):
+            raise MachineError(f"symbol {s.name!r} is not in the alphabet")
 
 
 def step(machine: TuringMachine, config: Configuration) -> Configuration:
@@ -256,21 +253,29 @@ def run(machine: TuringMachine, config: Configuration, max_steps: int) -> RunRes
     Equal to iterated :func:`step`, and tested against it, at O(1) per step
     plus one final re-index.  The budget is mandatory because halting is
     undecidable; a run that does not halt comes back with ``halted=False``.
+    A state or tape symbol foreign to ``machine`` raises :class:`MachineError`.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    rules, blank, halting = machine.rules, machine.blank, machine.halting
-    state, tape, head, steps = config.state, dict(config.tape), 0, 0
+    _check_members(machine, config.state, config.tape.values())
+    table, blank, halting = _id_table(machine), machine.blank.id, machine.halting.id
+    state, tape, head, steps = config.state.id, {i: s.id for i, s in config.tape.items()}, 0, 0
     while state != halting and steps < max_steps:
-        tr = rules[(state, tape.get(head, blank))]
-        if tr.write == blank:
+        state, write, move = table[state][tape.get(head, blank)]
+        if write == blank:
             tape.pop(head, None)
         else:
-            tape[head] = tr.write
-        state, head, steps = tr.next_state, head + tr.move, steps + 1
+            tape[head] = write
+        head, steps = head + move, steps + 1
     halted = state == halting
-    final = Configuration(state, {i - head: s for i, s in tape.items()})
+    final = Configuration(machine.states[state], {i - head: machine.alphabet[s] for i, s in tape.items()})
     return RunResult(halted, steps, final, steps if halted else None)
+
+
+def _id_table(machine: TuringMachine) -> list[list[tuple[int, int, int]]]:
+    """``machine.transition`` on ids: (next state id, write id, move) at [state id][read id]."""
+    rows = [[machine.transition(q, s) for s in machine.alphabet] for q in machine.states]
+    return [[(tr.next_state.id, tr.write.id, tr.move) for tr in row] for row in rows]
 
 
 def iterate(machine: TuringMachine, config: Configuration, steps: int) -> Iterator[Configuration]:

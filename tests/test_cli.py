@@ -77,6 +77,31 @@ def test_analyze_out_file(capsys, tmp_path):
     assert json.loads(target.read_text())["certificate"]["verdict"] == "strongly-regular"
 
 
+def test_main_reuses_one_parser_without_leaking_state(capsys, tmp_path):
+    # main builds its parser once per process; calls made in sequence on it
+    # must each print what they print on a freshly built parser.
+    target = tmp_path / "report.json"
+    sequence = [
+        ["analyze", "--machine", "wutm_6_2", "--n-max", "2", "--out", str(target)],
+        ["analyze", "--machine", "wutm_6_2"],
+        ["entropy", "--machine", "utm_6_4", "--n-max", "4", "--oracle", "--initial-only"],
+        ["entropy", "--machine", "utm_6_4", "--n-max", "3", "--node-budget", "100"],
+        ["entropy", "--machine", "utm_6_4", "--n-max", "3"],
+        ["entropy", "--machine", "utm_6_4", "--n-max", "0"],
+        ["simulate", "--machine", "utm_6_4", "--steps", "3", "--trace", "--json"],
+        ["simulate", "--machine", "utm_6_4", "--steps", "3"],
+    ]
+    shared = [run_cli(capsys, *argv) for argv in sequence]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 1, 0, 2, 0, 0]
+    assert shared[0][1] == "" and shared[1][1].startswith("{")
+
+
 def test_bad_file_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.tm"
     bad.write_text("states: q halt\nalphabet: 0 1\nblank: 0\ninitial: q\nhalting: halt\nq 0 -> q 9 N\n")

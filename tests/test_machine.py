@@ -368,6 +368,19 @@ def test_make_config_rejects_foreign_ids(utm, bad_id):
             make_config(utm, utm.initial, [symbol])
 
 
+@pytest.mark.parametrize("bad_id", [-1, 7, 99, 1.5, None])
+def test_run_rejects_foreign_ids(utm, bad_id):
+    # run works on ids, so a foreign state or symbol must raise, not alias
+    # into the id table; a symbol on a cell the run never reads too.
+    for state in (State(bad_id, "u1"), State(0, "zz")):
+        with pytest.raises(MachineError, match="is not a state of this machine"):
+            run(utm, Configuration(state, {}), 5)
+    for symbol in (Symbol(bad_id, "b"), Symbol(0, "zz")):
+        for start in (utm.initial, utm.halting):
+            with pytest.raises(MachineError, match="is not in the alphabet"):
+                run(utm, Configuration(start, {40: symbol}), 5)
+
+
 @given(machine_configs())
 @settings(max_examples=60)
 def test_step_preserves_canonical_form(mc):

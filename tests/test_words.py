@@ -179,6 +179,66 @@ def test_entropy_estimates_budget_error(utm):
     assert report.budget_error is not None
 
 
+def _assert_rows_equal_independent_counts(machine, n_max):
+    for mode in HALTING_MODES:
+        m = machine.with_halting_mode(mode)
+        for initial_only in (False, True):
+            report = entropy_estimates(m, n_max, initial_only=initial_only)
+            assert report.budget_error is None
+            expected = [(n, count_words(m, n, initial_only=initial_only)) for n in range(1, n_max + 1)]
+            assert [(row.n, row.count) for row in report.rows] == expected, (mode, initial_only)
+
+
+def test_estimate_rows_equal_independent_counts_on_corpus(utm, wutm):
+    # the rows share one memo; each must still equal a count with its own
+    _assert_rows_equal_independent_counts(utm, 10)
+    _assert_rows_equal_independent_counts(wutm, 16)
+
+
+@given(machines())
+@settings(max_examples=40, deadline=None)
+def test_estimate_rows_equal_independent_counts_random(machine):
+    _assert_rows_equal_independent_counts(machine, 8)
+
+
+def test_estimate_budget_applies_per_row(utm, wutm):
+    # Memo hits are free, those on entries of lower rows included, so a row
+    # never needs more units than count_words alone: the row a budget error
+    # names also fails alone, and a budget that suffices for every
+    # count_words(m, n), n <= N, completes the report.
+    for machine in (utm, wutm):
+        for mode in HALTING_MODES:
+            m = machine.with_halting_mode(mode)
+            for budget in range(15, 800, 9):
+                report = entropy_estimates(m, 6, node_budget=budget)
+                assert [row.count for row in report.rows] == [
+                    count_words(m, n) for n in range(1, len(report.rows) + 1)
+                ]
+                if report.budget_error is None:
+                    continue
+                k = len(report.rows) + 1
+                assert f"for n={k} exceeded" in report.budget_error
+                with pytest.raises(BudgetExceededError):
+                    count_words(m, k, node_budget=budget)
+    # The converse does not hold: row 2 reuses row 1's entries and finishes
+    # within 40 units, where count_words(utm, 2) alone needs 70.
+    assert len(entropy_estimates(utm, 2, node_budget=40).rows) == 2
+    with pytest.raises(BudgetExceededError):
+        count_words(utm, 2, node_budget=69)
+    assert count_words(utm, 2, node_budget=70) == 97
+
+
+def test_estimate_budget_error_names_first_unfinished_row(utm):
+    # count_words(utm, n) needs 326 units for n = 4 and fewer below it; row 5
+    # needs more than that even with the memo of rows 1..4.
+    report = entropy_estimates(utm, 8, node_budget=326)
+    assert report.rows == entropy_estimates(utm, 4).rows
+    assert report.budget_error == "word enumeration for n=5 exceeded the node budget of 326"
+    assert count_words(utm, 4, node_budget=326) == report.rows[-1].count
+    with pytest.raises(BudgetExceededError):
+        count_words(utm, 4, node_budget=325)
+
+
 def test_csv_report(utm):
     report = entropy_estimates(utm, 3)
     text = report_to_csv(report)
