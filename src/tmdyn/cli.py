@@ -66,21 +66,22 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--machine", metavar="NAME", help=f"built-in machine ({', '.join(corpus_names())})")
     source.add_argument("--file", metavar="PATH", help="machine description file")
     common.add_argument("--halting-mode", choices=HALTING_MODES, default="fixpoint")
-    common.add_argument("--json", action="store_true", help="emit JSON where the default is text")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks (echoed in reports)")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="seed for randomized checks (echoed in reports)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="full report: shift table, graphs, certificate")
+    p = sub.add_parser("analyze", parents=[common, seeded], help="full report: shift table, graphs, certificate")
     p.add_argument("--n-max", type=_int_at_least(1), help="also append word counts for n = 1..N")
     p.add_argument("--conjugacy-samples", type=_int_at_least(1), default=200)
     p.add_argument("--out", metavar="PATH", help="write the JSON report to a file instead of stdout")
 
     p = sub.add_parser("graph", parents=[common], help="per-direction shift graph as dot text")
     p.add_argument("--eps", required=True, choices=("+1", "-1"), help="shift direction")
-    p.add_argument("--format", choices=("dot",), default="dot")
 
-    p = sub.add_parser("entropy", parents=[common], help="word counts and entropy estimates")
+    p = sub.add_parser("entropy", parents=[common, as_json], help="word counts and entropy estimates")
     p.add_argument("--n-max", type=_int_at_least(1), required=True)
     p.add_argument("--oracle", action="store_true", help="check rows n <= 4 against the brute-force oracle")
     budget_help = "work units per row; memo hits are free"
@@ -91,14 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="exploratory: count only orbits started in the initial state",
     )
 
-    p = sub.add_parser("simulate", parents=[common], help="run the machine step by step")
+    p = sub.add_parser("simulate", parents=[common, as_json], help="run the machine step by step")
     p.add_argument("--state", help="starting state (default: the initial state)")
     p.add_argument("--tape", default="", help="symbols to place on the tape")
     p.add_argument("--offset", type=int, default=0, help="cell index of the first tape symbol")
     p.add_argument("--steps", type=_int_at_least(0), required=True)
     p.add_argument("--trace", action="store_true", help="print every configuration along the run")
 
-    p = sub.add_parser("gshift", parents=[common], help="compiled generalized shift")
+    p = sub.add_parser("gshift", parents=[common, as_json, seeded], help="compiled generalized shift")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument(
         "--verify",

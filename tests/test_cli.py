@@ -1,8 +1,11 @@
+import argparse
 import collections
 import contextlib
 import functools
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from tmdyn import cli, corpus_names, machine, regularity, shift_analysis, words
 from tmdyn.cli import main
+from tmdyn.corpus import corpus_text
 
 HALTER_TEXT = """\
 states: q0 halt
@@ -154,29 +158,32 @@ def test_analyze_on_random_file_bytes_never_raises(tmp_path_factory, data):
 
 # Flags of each subcommand, mapped to a strategy for their value (None for
 # switches); sizes stay small, so every command finishes quickly.
-_COMMON_FLAGS = {
-    "--halting-mode": st.sampled_from(["fixpoint", "restart"]),
-    "--seed": st.integers(-2, 9),
-    "--json": None,
-}
+_COMMON_FLAGS = {"--halting-mode": st.sampled_from(["fixpoint", "restart"])}
+_JSON = {"--json": None}
+_SEED = {"--seed": st.integers(-2, 9)}
 _COMMAND_FLAGS = {
-    "analyze": {"--n-max": st.integers(0, 4), "--conjugacy-samples": st.integers(0, 20)},
-    "graph": {"--eps": st.sampled_from(["+1", "-1", "0"]), "--format": st.sampled_from(["dot", "png"])},
+    "analyze": {**_SEED, "--n-max": st.integers(0, 4), "--conjugacy-samples": st.integers(0, 20)},
+    "graph": {"--eps": st.sampled_from(["+1", "-1", "0"])},
     "entropy": {
+        **_JSON,
         "--n-max": st.integers(0, 3),  # the oracle takes seconds at n = 4
         "--oracle": None,
         "--node-budget": st.integers(0, 10_000),
         "--initial-only": None,
     },
     "simulate": {
+        **_JSON,
         "--state": st.sampled_from(["q0", "u2", "halt", "nope"]),
         "--tape": st.sampled_from(["", "1 0 1", "b d", "?"]),
         "--offset": st.integers(-3, 3),
         "--steps": st.integers(-1, 50),
         "--trace": None,
     },
-    "gshift": {"--verify": st.integers(0, 20), "--dump": None},
+    "gshift": {**_JSON, **_SEED, "--verify": st.integers(0, 20), "--dump": None},
 }
+# Flags that some subcommands (for --format, all) do not take; drawn rarely, so
+# the "unrecognized arguments" exit stays covered without crowding out real runs.
+_FOREIGN_FLAGS = (["--json"], ["--seed", "1"], ["--format", "dot"])
 _FIRST_FLAGS = {
     "analyze": ["--conjugacy-samples"],
     "graph": ["--eps"],
@@ -200,6 +207,8 @@ def cli_argvs(draw, files):
         argv.append(flag)
         if flags[flag] is not None:
             argv.append(str(draw(flags[flag])))
+    if draw(st.integers(0, 9)) == 0:
+        argv += draw(st.sampled_from([f for f in _FOREIGN_FLAGS if f[0] not in flags]))
     return argv
 
 
@@ -338,14 +347,15 @@ def test_analyze_computes_each_fact_once(capsys, monkeypatch):
     )
     code, _, _ = run_cli(capsys, "analyze", "--machine", "wutm_6_2", "--n-max", "5")
     assert code == 0
-    assert calls["shift_table"] <= 2
-    assert calls["shift_graph"] <= 4
-    assert calls["entropy_lower_bound"] == 1
+    # check_regularity builds its own table and graphs (2 and 4 in all); sharing
+    # them would take a table parameter on the public certificate functions.
+    assert calls == {
+        "shift_table": 2, "shift_graph": 4, "entropy_lower_bound": 1, "check_regularity": 1
+    }
     calls.clear()
     code, _, _ = run_cli(capsys, "analyze", "--machine", "utm_6_4", "--n-max", "5")
     assert code == 0
-    assert calls["entropy_lower_bound"] == 1
-    assert calls["check_regularity"] == 0
+    assert calls == {"shift_table": 1, "shift_graph": 2, "entropy_lower_bound": 1}
 
 
 def test_analyze_budget_error_is_analysis_failure(capsys, monkeypatch):
@@ -466,3 +476,119 @@ def test_gshift_requires_mode(capsys):
 def test_missing_machine_source(capsys):
     code, _, _ = run_cli(capsys, "gshift", "--dump")
     assert code == 2
+
+
+def _accepted_flags(command):
+    """The first option string of every argument ``command`` takes, help excluded."""
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.option_strings[0]
+        for action in sub.choices[command]._actions
+        if action.option_strings and action.option_strings[0] != "-h"
+    }
+
+
+# Flags that change no output: --oracle only checks (see the test below); a shift
+# graph never steps from the halting state and a simulated orbit stops on reaching
+# it, so neither depends on the halting mode.
+_SILENT_FLAGS = {"entropy": {"--oracle"}, "graph": {"--halting-mode"}, "simulate": {"--halting-mode"}}
+
+
+def _flag_cases(halter, other, out):
+    """For each subcommand, a leading argv and, for each flag it takes, two
+    argvs that differ only in that flag's presence or value."""
+    u, w, h, f = ["--machine", "utm_6_4"], ["--machine", "wutm_6_2"], ["--file", halter], ["--file", other]
+    restart, seed, verify, dump = ["--halting-mode", "restart"], ["--seed", "1"], ["--verify", "20"], ["--dump"]
+    return {
+        "analyze": (["--conjugacy-samples", "5"], {
+            "--machine": (u, w),
+            "--file": (h, f),
+            "--halting-mode": (u, u + restart),
+            "--seed": (u, u + seed),
+            "--n-max": (u, u + ["--n-max", "2"]),
+            "--conjugacy-samples": (u, u + ["--conjugacy-samples", "6"]),
+            "--out": (u, u + ["--out", out]),
+        }),
+        "graph": (["--eps", "+1"], {
+            "--machine": (u, w),
+            "--file": (h, f),
+            "--eps": (u, u + ["--eps", "-1"]),
+        }),
+        "entropy": (["--n-max", "3"], {
+            "--machine": (u, w),
+            "--file": (h, f),
+            "--halting-mode": (u, u + restart),
+            "--json": (u, u + ["--json"]),
+            "--n-max": (u, u + ["--n-max", "2"]),
+            "--node-budget": (u, u + ["--node-budget", "10"]),
+            "--initial-only": (u, u + ["--initial-only"]),
+        }),
+        "simulate": (["--steps", "3"], {
+            "--machine": (u, w),
+            "--file": (h, f),
+            "--json": (u, u + ["--json"]),
+            "--state": (u, u + ["--state", "u2"]),
+            "--tape": (u, u + ["--tape", "c"]),
+            "--offset": (u + ["--tape", "c"], u + ["--tape", "c", "--offset", "2"]),
+            "--steps": (u, u + ["--steps", "4"]),
+            "--trace": (u, u + ["--trace"]),
+        }),
+        "gshift": ([], {
+            "--machine": (u + dump, w + dump),
+            "--file": (h + dump, f + dump),
+            "--halting-mode": (u + dump, u + dump + restart),
+            "--json": (u + verify, u + verify + ["--json"]),
+            "--seed": (u + verify, u + verify + seed),
+            "--verify": (u + verify, u + ["--verify", "21"]),
+            "--dump": (u, u + dump),
+        }),
+    }
+
+
+def test_every_flag_changes_the_outcome(capsys, halter_file, tmp_path):
+    other = tmp_path / "wutm.tm"
+    other.write_text(corpus_text("wutm_6_2"))
+    cases = _flag_cases(halter_file, str(other), str(tmp_path / "report.json"))
+    assert sorted(cases) == sorted(cli._COMMANDS)
+    for command, (lead, flags) in cases.items():
+        assert set(flags) | _SILENT_FLAGS.get(command, set()) == _accepted_flags(command)
+        for flag, (a, b) in flags.items():
+            assert flag in a + b
+            results = [run_cli(capsys, command, *lead, *argv) for argv in (a, b)]
+            assert results[0] != results[1], (command, flag)
+
+
+def test_oracle_flag_runs_the_oracle(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, (cli, "count_words_oracle"))
+    argv = ["entropy", "--machine", "utm_6_4", "--n-max", "3"]
+    plain = run_cli(capsys, *argv)
+    assert calls["count_words_oracle"] == 0
+    assert run_cli(capsys, *argv, "--oracle") == plain
+    assert calls["count_words_oracle"] == 3
+
+
+@pytest.mark.parametrize(
+    "command, foreign",
+    [
+        (["analyze"], ["--json"]),
+        (["graph", "--eps", "+1"], ["--json"]),
+        (["graph", "--eps", "+1"], ["--seed", "1"]),
+        (["graph", "--eps", "+1"], ["--format", "dot"]),
+        (["entropy", "--n-max", "2"], ["--seed", "1"]),
+        (["simulate", "--steps", "2"], ["--seed", "1"]),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, command, foreign):
+    code, out, err = run_cli(capsys, *command, "--machine", "utm_6_4", *foreign)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(foreign)}" in err
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = {
+        command: set(re.findall(r"--[a-z-]+", row))
+        for command, row in re.findall(r"^\| `(\w+)` \|(.*)\|$", readme, re.MULTILINE)
+    }
+    assert rows == {command: _accepted_flags(command) for command in cli._COMMANDS}

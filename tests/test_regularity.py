@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import deque
 
 import pytest
@@ -10,13 +11,17 @@ from tmdyn import (
     BudgetExceededError,
     RegularWitness,
     StrongWitness,
+    builtin_machine,
     certificate_to_json_dict,
     check_regularity,
     check_strong_regularity,
+    corpus_names,
     count_words,
     entropy_lower_bound,
     parse_machine,
+    random_machine,
     shift_graph,
+    shift_table,
     verify_witness,
 )
 from tmdyn.regularity import MAX_ALPHABET, NO_WITNESS, REGULAR, STRONGLY_REGULAR, _component_labels
@@ -256,3 +261,19 @@ def test_bound_is_consistent_with_word_counts(machine):
         return
     for n in range(1, 15):
         assert count_words(machine, n) ** cert.over >= cert.log_of**n, n
+
+
+def test_certificate_side_does_not_depend_on_halting_mode():
+    # The halting mode only extends the dynamics at the halting state, which the
+    # shift table never steps from; word counts start orbits there and see it.
+    pool = [builtin_machine(name) for name in corpus_names()]
+    pool += [random_machine(random.Random(seed), 4, 3, 0.3) for seed in range(300)]
+    counts_differ = 0
+    for fixpoint in pool:
+        restart = fixpoint.with_halting_mode("restart")
+        for fn in (shift_table, check_strong_regularity, check_regularity, entropy_lower_bound):
+            assert fn(fixpoint) == fn(restart)
+        for direction in (1, -1):
+            assert shift_graph(fixpoint, direction) == shift_graph(restart, direction)
+        counts_differ += count_words(fixpoint, 4) != count_words(restart, 4)
+    assert counts_differ > 0
