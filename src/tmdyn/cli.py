@@ -155,8 +155,8 @@ def _conjugacy_json(report: ConjugacyReport) -> dict:
     }
 
 
-def _dump(data: dict, stream=None) -> None:
-    print(json.dumps(data, indent=2), file=stream or sys.stdout)
+def _dump(data: dict) -> None:
+    print(json.dumps(data, indent=2))
 
 
 def cmd_analyze(machine: TuringMachine, source: dict, args) -> int:
@@ -226,8 +226,7 @@ def cmd_simulate(machine: TuringMachine, source: dict, args) -> int:
             trail.append(c)
             if c.state == machine.halting:
                 break
-        taken, halted = len(trail) - 1, trail[-1].state == machine.halting
-        result = RunResult(halted, taken, trail[-1], taken if halted else None)
+        result = RunResult(trail[-1].state == machine.halting, len(trail) - 1, trail[-1])
     else:
         result = run(machine, config, args.steps)
     if args.json:

@@ -197,10 +197,13 @@ def compile_gshift(machine: TuringMachine) -> GeneralizedShift:
 @dataclass(frozen=True)
 class ConjugacyReport:
     samples: int
-    passes: int
     failures: int
     seed: int
     first_counterexample: Configuration | None
+
+    @property
+    def passes(self) -> int:
+        return self.samples - self.failures
 
 
 def verify_conjugacy(
@@ -222,7 +225,7 @@ def verify_conjugacy(
         shift = compile_gshift(machine)
     alphabet = sequence_alphabet(machine)
     rng = random.Random(seed)
-    passes = failures = 0
+    failures = 0
     first = None
     for _ in range(samples):
         state = rng.choice(machine.states)
@@ -236,13 +239,11 @@ def verify_conjugacy(
         config = Configuration(state, tape)
         via_shift = gshift_step(shift, _embed(alphabet, config))
         via_machine = _embed(alphabet, step(machine, config))
-        if via_shift == via_machine:
-            passes += 1
-        else:
+        if via_shift != via_machine:
             failures += 1
             if first is None:
                 first = config
-    return ConjugacyReport(samples, passes, failures, seed, first)
+    return ConjugacyReport(samples, failures, seed, first)
 
 
 # --- binary coding and Cantor coordinates ------------------------------------
@@ -304,10 +305,9 @@ def cantor_point_of_config(machine: TuringMachine, config: Configuration) -> Can
     return cantor_encode(block_encode(embed(machine, config)))
 
 
-def format_sequence(seq: ASequence, radius: int | None = None) -> str:
+def format_sequence(seq: ASequence) -> str:
     """Render as ``… a b . c d …`` with cell 0 right after the dot."""
-    if radius is None:
-        radius = max((abs(i) for i in seq.cells), default=0) + 1
+    radius = max((abs(i) for i in seq.cells), default=0) + 1
     left = " ".join(str(seq.at(i)) for i in range(-radius, 0))
     right = " ".join(str(seq.at(i)) for i in range(0, radius + 1))
     return f"… {left} . {right} …"

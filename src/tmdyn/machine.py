@@ -28,7 +28,6 @@ MOVES = (MOVE_LEFT, MOVE_NONE, MOVE_RIGHT)
 #: tape, R (move = +1) shifts the tape one cell to the left and L (move = -1)
 #: shifts it one cell to the right.
 MOVE_LETTERS = {"L": MOVE_LEFT, "N": MOVE_NONE, "R": MOVE_RIGHT}
-LETTER_OF_MOVE = {v: k for k, v in MOVE_LETTERS.items()}
 
 #: How the one-step map treats a halting-state configuration:
 #: "fixpoint" leaves it unchanged, "restart" jumps back to the initial state
@@ -190,7 +189,10 @@ class RunResult:
     halted: bool
     steps_taken: int
     final: Configuration
-    halting_time: int | None
+
+    @property
+    def halting_time(self) -> int | None:  # steps taken to reach the halting state
+        return self.steps_taken if self.halted else None
 
 
 def make_config(
@@ -267,9 +269,8 @@ def run(machine: TuringMachine, config: Configuration, max_steps: int) -> RunRes
         else:
             tape[head] = write
         head, steps = head + move, steps + 1
-    halted = state == halting
     final = Configuration(machine.states[state], {i - head: machine.alphabet[s] for i, s in tape.items()})
-    return RunResult(halted, steps, final, steps if halted else None)
+    return RunResult(state == halting, steps, final)
 
 
 def _id_table(machine: TuringMachine) -> list[list[tuple[int, int, int]]]:
@@ -303,10 +304,9 @@ def distance(x: Configuration, y: Configuration) -> Fraction:
     return Fraction(1, 2**disagree)
 
 
-def format_config(machine: TuringMachine, config: Configuration, radius: int | None = None) -> str:
+def format_config(machine: TuringMachine, config: Configuration) -> str:
     """Render a configuration as ``state | ... a b . c d ...`` with cell 0 after the dot."""
-    if radius is None:
-        radius = max((abs(i) for i in config.tape), default=0) + 1
+    radius = max((abs(i) for i in config.tape), default=0) + 1
     names = [config.tape.get(i, machine.blank).name for i in range(-radius, radius + 1)]
     left = " ".join(names[:radius])
     right = " ".join(names[radius:])
@@ -325,8 +325,9 @@ def parse_machine(text: str, halting_mode: str = "fixpoint") -> TuringMachine:
     ``alphabet:``, ``blank:``, ``initial:`` and ``halting:`` come first in
     any order; then one rule per line, ``state symbol -> state symbol move``
     with move one of L, R, N, or the shorthand ``state symbol -> HALT`` for
-    "enter the halting state, keep the symbol, do not move".  Exactly one
-    rule per (non-halting state, symbol) pair.
+    "enter the halting state, keep the symbol, do not move".  Rules are told
+    apart by length, so in the six-token form ``HALT`` is an ordinary state
+    name.  Exactly one rule per (non-halting state, symbol) pair.
 
     All failures raise :class:`MachineFormatError` carrying the line number.
     """
@@ -386,8 +387,11 @@ def parse_machine(text: str, halting_mode: str = "fixpoint") -> TuringMachine:
 
     rules: dict[tuple[State, Symbol], Transition] = {}
     for lineno, tokens in rule_lines:
-        if len(tokens) < 4 or tokens[2] != "->":
-            raise MachineFormatError("rule must look like 'state symbol -> state symbol move'", lineno)
+        shorthand = tokens[3:] == ["HALT"]
+        if not (shorthand or len(tokens) == 6) or tokens[2] != "->":
+            raise MachineFormatError(
+                "rule must look like 'state symbol -> state symbol move' or 'state symbol -> HALT'", lineno
+            )
         if tokens[0] not in state_by_name:
             raise MachineFormatError(f"unknown state {tokens[0]!r}", lineno)
         if tokens[1] not in symbol_by_name:
@@ -395,13 +399,9 @@ def parse_machine(text: str, halting_mode: str = "fixpoint") -> TuringMachine:
         q, s = state_by_name[tokens[0]], symbol_by_name[tokens[1]]
         if q == halting:
             raise MachineFormatError(f"rule for the halting state {q.name!r}", lineno)
-        if tokens[3] == "HALT":
-            if len(tokens) != 4:
-                raise MachineFormatError("'-> HALT' takes no further tokens", lineno)
+        if shorthand:
             tr = Transition(halting, s, MOVE_NONE)
         else:
-            if len(tokens) != 6:
-                raise MachineFormatError("rule must look like 'state symbol -> state symbol move'", lineno)
             if tokens[3] not in state_by_name:
                 raise MachineFormatError(f"unknown state {tokens[3]!r}", lineno)
             if tokens[4] not in symbol_by_name:

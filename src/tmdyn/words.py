@@ -36,20 +36,20 @@ from .regularity import EntropyCertificate, certificate_to_json_dict, entropy_lo
 TraceWord = tuple[tuple[State, Symbol], ...]
 
 DEFAULT_NODE_BUDGET = 10**8
+ORACLE_MAX_N = 5  # the largest n count_words_oracle accepts
 
 
-def count_words_oracle(
-    machine: TuringMachine, n: int, max_n: int = 5, initial_only: bool = False
-) -> int:
+def count_words_oracle(machine: TuringMachine, n: int, *, initial_only: bool = False) -> int:
     """Brute-force |S(n)|: enumerate every window assignment and simulate.
 
     In n - 1 steps the head cannot leave cells [-(n-1), n-1], so symbols
     outside that window never influence the trace and enumerating the
     |alphabet| ** (2n - 1) window assignments (times every starting state) is
-    exhaustive.  Capped at ``max_n`` because of that cost.
+    exhaustive.  Because of that cost n is capped at :data:`ORACLE_MAX_N`
+    (5); a larger n raises ``ValueError``.
     """
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be in 1..{max_n} for the oracle (got {n})")
+    if not 1 <= n <= ORACLE_MAX_N:
+        raise ValueError(f"n must be in 1..{ORACLE_MAX_N} for the oracle (got {n})")
     cells = range(-(n - 1), n)
     traces: set[TraceWord] = set()
     starts = (machine.initial,) if initial_only else machine.states
@@ -169,32 +169,20 @@ def _count_words(machine: TuringMachine, n: int, node_budget: int, initial_only:
     return result
 
 
-def word_set(
-    machine: TuringMachine,
-    n: int,
-    max_n: int = 4,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    initial_only: bool = False,
-) -> set[TraceWord]:
-    """The actual n-word set from the lazy enumerator; capped at ``max_n``.
+def word_set(machine: TuringMachine, n: int, max_n: int = 4, initial_only: bool = False) -> set[TraceWord]:
+    """The actual n-word set from the lazy enumerator.
 
     An independent slow path beside the oracle, for tests and inspection:
-    it stores every trace, so :func:`count_words` is the way to count.
+    it stores every trace, so :func:`count_words` is the way to count.  Its
+    only cap is ``max_n`` (default 4): a larger n raises ``ValueError``.
     """
     if not 1 <= n <= max_n:
         raise ValueError(f"n must be in 1..{max_n} for word_set (got {n})")
     traces: set[TraceWord] = set()
     alphabet = machine.alphabet
     transition = machine.transition
-    remaining = node_budget
 
     def explore(state: State, head: int, tape: dict[int, Symbol], trace: TraceWord) -> None:
-        nonlocal remaining
-        remaining -= 1
-        if remaining < 0:
-            raise BudgetExceededError(
-                f"word enumeration for n={n} exceeded the node budget of {node_budget}"
-            )
         symbol = tape.get(head)
         if symbol is None:
             # First read of this cell: branch over every assignment.

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmdyn import cli, corpus_names, machine, regularity, shift_analysis, words
+from tmdyn import cli, corpus_names, gshift, machine, regularity, shift_analysis, words
 from tmdyn.cli import main
 from tmdyn.corpus import corpus_text
 
@@ -592,3 +592,33 @@ def test_readme_flag_table_matches_the_parser():
         for command, row in re.findall(r"^\| `(\w+)` \|(.*)\|$", readme, re.MULTILINE)
     }
     assert rows == {command: _accepted_flags(command) for command in cli._COMMANDS}
+
+
+def test_entropy_oracle_mismatch_is_analysis_failure(capsys, monkeypatch):
+    real = cli.count_words_oracle
+    monkeypatch.setattr(
+        cli, "count_words_oracle", lambda m, n, **kw: real(m, n, **kw) + (n == 2)
+    )
+    code, out, err = run_cli(capsys, "entropy", "--machine", "utm_6_4", "--n-max", "3", "--oracle")
+    assert (code, out) == (1, "")
+    assert err == "error: oracle mismatch at n=2: count_words=97, oracle=98\n"
+
+
+def test_gshift_conjugacy_failure_is_analysis_failure(capsys, monkeypatch):
+    real = gshift.compile_gshift
+
+    def corrupted(m):  # one wrong replacement, as in test_conjugacy_detects_corruption
+        g, b, u2 = m.symbol_named("g"), m.symbol_named("b"), m.state_named("u2")
+        return gshift.GeneralizedShift(1, {**real(m).rules, (g, u2, b): ((b, b, u2), 1)})
+
+    monkeypatch.setattr(gshift, "compile_gshift", corrupted)
+    argv = ["gshift", "--machine", "utm_6_4", "--verify", "300", "--seed", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "conjugacy check: 296/300 passed (seed 3)",
+        "first counterexample: u2 | …g g g . b d c g…",
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out) == {"samples": 300, "passes": 296, "failures": 4, "seed": 3}

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from tmdyn import (
     State,
     block_encode,
     cantor_encode,
+    cantor_point_of_config,
     compile_gshift,
     distance,
     embed,
@@ -25,6 +28,7 @@ from tmdyn import (
     verify_conjugacy,
 )
 from tmdyn.corpus import UTM_6_4_TEXT
+from tmdyn.gshift import sequence_alphabet
 from tmdyn.machine import Configuration
 
 from conftest import machine_configs
@@ -282,6 +286,35 @@ def test_cantor_digits_stay_in_cantor_set():
             digits.append(digit)
             value -= digit
         assert set(digits) <= {0, 2}
+
+
+def test_cantor_point_of_config_is_continuous_and_injective(utm, wutm):
+    # Tapes that agree on |i| < k embed to sequences that agree on cells
+    # -(k-1)..k, i.e. on bits -(k-1)w..(k+1)w-1, w bits per cell; the tails
+    # of the two ternary sums then differ by at most 3**-((k-1)w) in x and
+    # 3**-((k+1)w) in y.
+    rng = random.Random(5)
+    for machine in (utm, wutm):
+        w = (len(sequence_alphabet(machine)) - 1).bit_length()
+        for _ in range(300):
+            state = rng.choice(machine.states)
+            k = rng.randint(1, 6)
+            cells = {i: rng.choice(machine.alphabet) for i in range(-8, 9)}
+            other = {i: s if abs(i) < k else rng.choice(machine.alphabet) for i, s in cells.items()}
+            i = rng.choice((-k, k))
+            other[i] = rng.choice([s for s in machine.alphabet if s != cells[i]])
+            x, y = (make_config(machine, state, list(c.values()), -8) for c in (cells, other))
+            assert distance(x, y) == Fraction(1, 2**k)
+            px, py = cantor_point_of_config(machine, x), cantor_point_of_config(machine, y)
+            assert abs(px.x - py.x) <= Fraction(1, 3 ** ((k - 1) * w))
+            assert abs(px.y - py.y) <= Fraction(1, 3 ** ((k + 1) * w))
+        # Every configuration with tape support in [-1, 1], each state included.
+        points = {
+            cantor_point_of_config(machine, make_config(machine, q, window, -1))
+            for q in machine.states
+            for window in itertools.product(machine.alphabet, repeat=3)
+        }
+        assert len(points) == len(machine.states) * len(machine.alphabet) ** 3
 
 
 # --- rendering and dumps ------------------------------------------------------------

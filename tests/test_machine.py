@@ -172,6 +172,32 @@ def test_comments_and_halt_shorthand(single_halt):
     assert single_halt.rules[(q0, one)].next_state == single_halt.halting
 
 
+_HALT_NAMED_STATE = "states: q HALT stop\nalphabet: 0 1\nblank: 0\ninitial: q\nhalting: stop\n"
+
+
+def test_state_named_halt_is_a_six_token_rule_target():
+    rules = "q 0 -> HALT 1 R\nq 1 -> q 1 N\nHALT 0 -> stop 0 N\nHALT 1 -> HALT 1 N\n"
+    m = parse_machine(_HALT_NAMED_STATE + rules)
+    target = m.state_named("HALT")
+    assert target != m.halting
+    assert m.rules[(m.initial, m.symbol_named("0"))] == Transition(target, m.symbol_named("1"), 1)
+    y = step(m, make_config(m, m.initial))
+    assert y == Configuration(target, {-1: m.symbol_named("1")})
+    assert step(m, y).state == m.halting  # HALT reads the blank at cell 0 and enters stop
+
+
+def test_four_token_halt_is_still_the_shorthand():
+    rules = "q 0 -> HALT\nq 1 -> q 1 N\nHALT 0 -> HALT 0 N\nHALT 1 -> HALT 1 N\n"
+    m = parse_machine(_HALT_NAMED_STATE + rules)
+    assert m.rules[(m.initial, m.symbol_named("0"))] == Transition(m.halting, m.symbol_named("0"), 0)
+
+
+@pytest.mark.parametrize("rule", ["q 0 -> HALT 1", "q 0 -> q", "q 0 -> HALT 1 R N", "q 0 ->", "q -> 0 HALT"])
+def test_rule_of_neither_shape_is_a_line_numbered_error(rule):
+    with pytest.raises(MachineFormatError, match="^line 6: rule must look like"):
+        parse_machine(_HALT_NAMED_STATE + rule + "\nq 1 -> q 1 N\n")
+
+
 # --- step semantics -----------------------------------------------------------
 
 
@@ -270,8 +296,7 @@ def test_run_equals_iterated_step(seed, mode, offset, k, data):
     while current.state != machine.halting and taken < k:
         current = step(machine, current)
         taken += 1
-    halted = current.state == machine.halting
-    assert run(machine, x, k) == RunResult(halted, taken, current, taken if halted else None)
+    assert run(machine, x, k) == RunResult(current.state == machine.halting, taken, current)
 
 
 # --- metric -------------------------------------------------------------------

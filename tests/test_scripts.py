@@ -1,10 +1,12 @@
+import re
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-ANALYZE_CORPUS = Path(__file__).resolve().parent.parent / "scripts" / "analyze_corpus.py"
+ROOT = Path(__file__).resolve().parent.parent
+ANALYZE_CORPUS = ROOT / "scripts" / "analyze_corpus.py"
 
 
 def run_analyze_corpus(monkeypatch, *argv):
@@ -26,3 +28,9 @@ def test_analyze_corpus_rejects_counts_below_one(capsys, monkeypatch, flag):
         run_analyze_corpus(monkeypatch, flag, "0")
     assert exc.value.code == 2
     assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (tour,) = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    exec(compile(tour, "README.md", "exec"), {})
