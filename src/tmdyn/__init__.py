@@ -76,5 +76,4 @@ from .words import (
     entropy_estimates,
     report_to_csv,
     report_to_json_dict,
-    word_set,
 )

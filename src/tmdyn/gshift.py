@@ -206,23 +206,16 @@ class ConjugacyReport:
         return self.samples - self.failures
 
 
-def verify_conjugacy(
-    machine: TuringMachine,
-    samples: int = 1000,
-    seed: int = 0,
-    shift: GeneralizedShift | None = None,
-) -> ConjugacyReport:
+def verify_conjugacy(machine: TuringMachine, samples: int = 1000, seed: int = 0) -> ConjugacyReport:
     """Replay random configurations through both routes and compare cell by cell.
 
     For each sample the check is: compiled shift applied to the embedding
     equals the embedding of the machine step.  Failures are counted, not
-    raised; the first failing configuration is reported for debugging.  Pass
-    ``shift`` to check a table other than the freshly compiled one.  The
+    raised; the first failing configuration is reported for debugging.  The
     sequence alphabet is built once per replay and shared by every sequence,
     so a sample costs O(its cells), independent of |states| + |alphabet|.
     """
-    if shift is None:
-        shift = compile_gshift(machine)
+    shift = compile_gshift(machine)
     alphabet = sequence_alphabet(machine)
     rng = random.Random(seed)
     failures = 0

@@ -6,9 +6,10 @@ witness that can be re-verified independently of the search:
 * a *strong* witness is a block Q' x S' (non-halting states times >= 2
   symbols) on which every transition moves the same direction and stays in
   Q'; it certifies a topological-entropy lower bound of log |S'|.
-* a *regular* witness is a pair of distinct closed walks from a common state
-  in one of the per-direction shift graphs; with walk costs a_w = 1 + sum of
-  the per-edge step counts, it certifies log 2 / max(a_1, a_2).
+* a *regular* witness is a pair of closed walks from a common state in one
+  of the per-direction shift graphs, neither a prefix of the other; with
+  walk costs a_w = 1 + sum of the per-edge step counts, it certifies
+  log 2 / max(a_1, a_2).
 
 Bounds are carried exactly as (log of an integer) / integer; decimal values
 are derived, never stored.  Absence of a witness is reported as such and is
@@ -114,18 +115,21 @@ def check_strong_regularity(machine: TuringMachine) -> Optional[StrongWitness]:
 
 
 def _greatest_block(machine: TuringMachine, direction: int, symbols) -> set[State]:
+    # A state only leaves when it fails against a superset of the greatest
+    # block, so the fixed point does not depend on the order of deletion.
     block = set(machine.non_halting_states())
-    changed = True
-    while changed:
-        changed = False
-        for q in sorted(block, key=lambda q: q.id):
-            for s in symbols:
-                tr = machine.rules[(q, s)]
-                if tr.move != direction or tr.next_state not in block:
-                    block.discard(q)
-                    changed = True
-                    break
-    return block
+    while True:
+        keep = {
+            q
+            for q in block
+            if all(
+                tr.move == direction and tr.next_state in block
+                for tr in (machine.rules[(q, s)] for s in symbols)
+            )
+        }
+        if keep == block:
+            return block
+        block = keep
 
 
 def check_regularity(machine: TuringMachine) -> Optional[RegularWitness]:
@@ -253,8 +257,10 @@ def verify_witness(machine: TuringMachine, witness: Union[StrongWitness, Regular
 
     Independent of the search path: strong blocks are checked transition by
     transition, walks are checked link by link through the shift
-    classification.  Malformed witnesses (foreign states, missing fields)
-    verify as False rather than raising.
+    classification, and neither walk may be a prefix of the other, so that
+    the pair is a prefix code and distinct concatenations give distinct
+    words (two powers of one loop are rejected).  Malformed witnesses
+    (foreign states, missing fields) verify as False rather than raising.
     """
     try:
         if isinstance(witness, StrongWitness):
@@ -284,9 +290,10 @@ def _verify_strong(machine: TuringMachine, w: StrongWitness) -> bool:
 def _verify_regular(machine: TuringMachine, w: RegularWitness) -> bool:
     if w.direction not in (-1, 1):
         return False
-    if w.walk_a == w.walk_b:
+    a, b = w.walk_a, w.walk_b
+    if a[: len(b)] == b or b[: len(a)] == a:
         return False
-    for walk, cost in ((w.walk_a, w.cost_a), (w.walk_b, w.cost_b)):
+    for walk, cost in ((a, w.cost_a), (b, w.cost_b)):
         if len(walk) < 2:
             return False
         if walk[0][0] != w.base:

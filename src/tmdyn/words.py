@@ -7,14 +7,13 @@ so log(count)/n decreases toward the machine's topological entropy; together
 with a certificate from :mod:`tmdyn.regularity` each report row brackets the
 entropy from above and below.
 
-Three enumerations are provided.  The oracle fixes every tape cell the head
-could possibly visit and simulates outright; it is exponentially expensive
-and exists as ground truth.  The lazy enumerator behind :func:`word_set`
-assigns tape cells on first read, which only branches where the trace can
-actually differ, and collects the traces themselves.  The production counter
-:func:`count_words` walks the same search tree but counts its leaves, sharing
-the count of every subtree that starts at a first read with the same state,
-reads left and tape window.  Starting states deliberately range over *all*
+Two counters are provided.  The oracle fixes every tape cell the head could
+possibly visit and simulates outright; it is exponentially expensive and
+exists as ground truth.  The production counter :func:`count_words` assigns
+tape cells on first read, which only branches where the trace can actually
+differ, and counts the leaves of that search tree, sharing the count of
+every subtree that starts at a first read with the same state, reads left
+and tape window.  Starting states deliberately range over *all*
 states, halting one included (its traces follow the configured halting
 extension); pass ``initial_only=True`` to explore the restriction to the
 initial state.
@@ -167,43 +166,6 @@ def _count_words(machine: TuringMachine, n: int, node_budget: int, initial_only:
                     state, head, reads, key, sym, total, undo = q, h, r, window, 0, 0, []
                     break
     return result
-
-
-def word_set(machine: TuringMachine, n: int, max_n: int = 4, initial_only: bool = False) -> set[TraceWord]:
-    """The actual n-word set from the lazy enumerator.
-
-    An independent slow path beside the oracle, for tests and inspection:
-    it stores every trace, so :func:`count_words` is the way to count.  Its
-    only cap is ``max_n`` (default 4): a larger n raises ``ValueError``.
-    """
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be in 1..{max_n} for word_set (got {n})")
-    traces: set[TraceWord] = set()
-    alphabet = machine.alphabet
-    transition = machine.transition
-
-    def explore(state: State, head: int, tape: dict[int, Symbol], trace: TraceWord) -> None:
-        symbol = tape.get(head)
-        if symbol is None:
-            # First read of this cell: branch over every assignment.
-            for s in alphabet:
-                tape[head] = s
-                explore(state, head, tape, trace)
-            del tape[head]
-            return
-        trace = trace + ((state, symbol),)
-        if len(trace) == n:
-            traces.add(trace)
-            return
-        tr = transition(state, symbol)
-        tape[head] = tr.write
-        explore(tr.next_state, head + tr.move, tape, trace)
-        tape[head] = symbol
-
-    starts = (machine.initial,) if initial_only else machine.states
-    for q in starts:
-        explore(q, 0, {}, ())
-    return traces
 
 
 @dataclass(frozen=True)

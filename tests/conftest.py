@@ -4,7 +4,8 @@ import pytest
 from hypothesis import strategies as st
 
 from tmdyn import builtin_machine, parse_machine, random_machine
-from tmdyn.machine import Configuration
+from tmdyn.machine import Configuration, State, Symbol, TuringMachine
+from tmdyn.words import TraceWord
 
 
 @pytest.fixture(scope="session")
@@ -148,3 +149,40 @@ def machine_configs(draw, **kwargs):
     )
     tape = {i: s for i, s in cells.items() if s != machine.blank}
     return machine, Configuration(state, tape)
+
+
+def word_set(machine: TuringMachine, n: int, max_n: int = 4, initial_only: bool = False) -> set[TraceWord]:
+    """The actual n-word set from the lazy enumerator.
+
+    An independent slow path beside the oracle, for tests and inspection:
+    it stores every trace, so :func:`count_words` is the way to count.  Its
+    only cap is ``max_n`` (default 4): a larger n raises ``ValueError``.
+    """
+    if not 1 <= n <= max_n:
+        raise ValueError(f"n must be in 1..{max_n} for word_set (got {n})")
+    traces: set[TraceWord] = set()
+    alphabet = machine.alphabet
+    transition = machine.transition
+
+    def explore(state: State, head: int, tape: dict[int, Symbol], trace: TraceWord) -> None:
+        symbol = tape.get(head)
+        if symbol is None:
+            # First read of this cell: branch over every assignment.
+            for s in alphabet:
+                tape[head] = s
+                explore(state, head, tape, trace)
+            del tape[head]
+            return
+        trace = trace + ((state, symbol),)
+        if len(trace) == n:
+            traces.add(trace)
+            return
+        tr = transition(state, symbol)
+        tape[head] = tr.write
+        explore(tr.next_state, head + tr.move, tape, trace)
+        tape[head] = symbol
+
+    starts = (machine.initial,) if initial_only else machine.states
+    for q in starts:
+        explore(q, 0, {}, ())
+    return traces

@@ -25,13 +25,12 @@ from tmdyn import (
     step,
     verify_conjugacy,
     verify_witness,
-    word_set,
 )
 from tmdyn.cli import main
 from tmdyn.machine import Configuration, iterate
 from tmdyn.regularity import STRONGLY_REGULAR
 
-from conftest import cycle_machine_text
+from conftest import cycle_machine_text, word_set
 
 
 def _report(criterion, description, ok):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tmdyn.gshift
 from tmdyn import (
     ASequence,
     CantorPoint,
@@ -211,14 +212,15 @@ def test_conjugacy_corpus(utm, wutm):
         assert report.first_counterexample is None
 
 
-def test_conjugacy_detects_corruption(utm):
+def test_conjugacy_detects_corruption(utm, monkeypatch):
     shift = compile_gshift(utm)
     rules = dict(shift.rules)
     g, b = utm.symbol_named("g"), utm.symbol_named("b")
     u2 = utm.state_named("u2")
     rules[(g, u2, b)] = ((b, b, u2), 1)  # wrong replacement
     corrupted = GeneralizedShift(1, rules)
-    report = verify_conjugacy(utm, samples=2000, seed=3, shift=corrupted)
+    monkeypatch.setattr(tmdyn.gshift, "compile_gshift", lambda machine: corrupted)
+    report = verify_conjugacy(utm, samples=2000, seed=3)
     # Exact values pin the sampling order and its seed.
     assert (report.passes, report.failures) == (1984, 16)
     assert report.first_counterexample == make_config(utm, u2, "b d c", 0)

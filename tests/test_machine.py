@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,61 @@ def test_missing_rule_reports_pair():
         parse_machine(text)
 
 
+# Each builds a machine, transition or lookup that validation must refuse;
+# the base is right_runner (states q halt, alphabet 0 1).
+_INVALID = {
+    "one symbol": (
+        lambda m: dataclasses.replace(m, alphabet=m.alphabet[:1]),
+        "alphabet must have >= 2 symbols",
+    ),
+    "duplicate names": (
+        lambda m: dataclasses.replace(m, states=(m.states[0], State(1, "q"))),
+        "duplicate state names",
+    ),
+    "ids out of order": (
+        lambda m: dataclasses.replace(m, alphabet=m.alphabet[::-1]),
+        "symbol ids must be 0..1",
+    ),
+    "foreign blank": (
+        lambda m: dataclasses.replace(m, blank=Symbol(2, "2")),
+        "blank symbol is not in the alphabet",
+    ),
+    "foreign initial": (
+        lambda m: dataclasses.replace(m, initial=State(0, "nope")),
+        "state 'nope' is not in the state list",
+    ),
+    "foreign halting": (
+        lambda m: dataclasses.replace(m, halting=State(2, "stop")),
+        "state 'stop' is not in the state list",
+    ),
+    "unknown halting mode": (
+        lambda m: dataclasses.replace(m, halting_mode="bounce"),
+        "unknown halting mode 'bounce'",
+    ),
+    "unexpected rule": (
+        lambda m: dataclasses.replace(
+            m, rules={**m.rules, (m.halting, m.blank): Transition(m.initial, m.blank, 0)}
+        ),
+        "unexpected rule for (halt, 0)",
+    ),
+    "foreign rule target": (
+        lambda m: dataclasses.replace(
+            m, rules={**m.rules, (m.initial, m.blank): Transition(State(2, "z"), m.blank, 1)}
+        ),
+        "rule for (q, 0) references an unknown state or symbol",
+    ),
+    "move 2": (lambda m: Transition(m.initial, m.blank, 2), "move must be -1, 0 or +1, got 2"),
+    "unknown state name": (lambda m: m.state_named("nope"), "unknown state 'nope'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID))
+def test_direct_construction_is_validated(right_runner, case):
+    build, message = _INVALID[case]
+    with pytest.raises(MachineError, match=f"^{re.escape(message)}$"):
+        build(right_runner)
+
+
 def test_validation_names_first_missing_pair_in_id_order(utm):
     u3, u5 = utm.state_named("u3"), utm.state_named("u5")
     rules = {(q, s): tr for (q, s), tr in utm.rules.items() if q not in (u3, u5)}
@@ -94,6 +150,22 @@ def test_one_symbol_alphabet_rejected():
 def test_duplicate_state_name():
     text = "states: q q halt\nalphabet: 0 1\nblank: 0\ninitial: q\nhalting: halt\n"
     with pytest.raises(MachineFormatError, match="line 1.*duplicate state name 'q'"):
+        parse_machine(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("states:\nalphabet: 0 1\nblank: 0\ninitial: q\nhalting: halt\n", "line 1: empty state list"),
+        (_HEADER_BLOCK.replace("blank: 0", "blank: 0 1"), "line 3: header 'blank' needs exactly one name"),
+        (_HEADER_BLOCK.replace("initial: q", "initial: nope"), "line 4: initial: unknown state 'nope'"),
+        (_HEADER_BLOCK + "p 0 -> q 0 N\n", "line 6: unknown state 'p'"),
+        (_HEADER_BLOCK + "q 2 -> q 0 N\n", "line 6: unknown symbol '2'"),
+        (_HEADER_BLOCK + "q 0 -> p 0 N\n", "line 6: unknown state 'p'"),
+    ],
+)
+def test_unknown_names_carry_line_numbers(text, message):
+    with pytest.raises(MachineFormatError, match=f"^{re.escape(message)}$"):
         parse_machine(text)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 from tmdyn import (
     BudgetExceededError,
     RegularWitness,
+    State,
     StrongWitness,
+    Symbol,
+    Transition,
     builtin_machine,
     certificate_to_json_dict,
     check_regularity,
@@ -152,6 +156,73 @@ def test_verify_rejects_wrong_cost(wutm):
     assert not verify_witness(
         wutm, RegularWitness(w.direction, w.base, w.walk_a, w.walk_b, w.cost_a + 1, w.cost_b)
     )
+
+
+def test_verify_rejects_two_powers_of_one_loop():
+    # c(n) = n + 3 grows linearly, so the claimed h >= log 2 / 4 is false:
+    # two walks that repeat one loop spell one word per length, not 2^(n/4).
+    m = parse_machine(
+        "states: q h\nalphabet: 0 1\nblank: 0\ninitial: q\nhalting: h\n"
+        "q 0 -> q 0 R\nq 1 -> HALT\n"
+    )
+    assert check_regularity(m) is None
+    loop = (m.initial, m.blank)
+    assert not verify_witness(m, RegularWitness(1, m.initial, (loop,) * 2, (loop,) * 3, 3, 4))
+    assert [count_words(m, n) for n in (1, 2, 80)] == [4, 5, 83]
+    assert count_words(m, 80) ** 4 < 2**80
+
+
+_FOREIGN_STATE, _FOREIGN_SYMBOL = State(9, "z"), Symbol(9, "z")
+
+
+def _with_rule(m, state, symbol, next_state, move):
+    """``m`` with the rule for (state, symbol) replaced; the written symbol is kept."""
+    pair = (m.state_named(state), m.symbol_named(symbol))
+    tr = Transition(m.state_named(next_state), m.rules[pair].write, move)
+    return dataclasses.replace(m, rules={**m.rules, pair: tr})
+
+
+# Each case breaks one clause of utm_6_4's strong witness (direction +1,
+# states u2 u4, symbols b d) or regular witness (base u2, walks
+# (u2 g)(u1 d) and (u2 b)(u2 b), direction +1, costs 3 and 3).
+_BROKEN_CLAUSES = {
+    "strong block with the halting state": lambda m, s, r: (
+        m, dataclasses.replace(s, states=s.states | {m.halting})
+    ),
+    "strong block with a foreign state": lambda m, s, r: (
+        m, dataclasses.replace(s, states=s.states | {_FOREIGN_STATE})
+    ),
+    "strong block with a foreign symbol": lambda m, s, r: (
+        m, dataclasses.replace(s, symbols=s.symbols | {_FOREIGN_SYMBOL})
+    ),
+    "regular witness with direction 0": lambda m, s, r: (m, dataclasses.replace(r, direction=0)),
+    "one-pair walk": lambda m, s, r: (m, dataclasses.replace(r, walk_b=r.walk_b[:1], cost_b=2)),
+    "walk that does not start at base": lambda m, s, r: (
+        m, dataclasses.replace(r, walk_a=r.walk_a[1:] + r.walk_a[:1])
+    ),
+    "walk through the halting state": lambda m, s, r: (
+        m,
+        dataclasses.replace(
+            r, base=m.halting, walk_a=((m.halting, m.blank),) * 2, walk_b=((m.halting, r.walk_b[0][1]),) * 2
+        ),
+    ),
+    "link that halts": lambda m, s, r: (_with_rule(m, "u1", "d", "halt", 0), r),
+    "link that loops": lambda m, s, r: (_with_rule(m, "u1", "d", "u1", 0), r),
+    "link that shifts the wrong way": lambda m, s, r: (_with_rule(m, "u1", "d", "u2", -1), r),
+    "link with the wrong exit state": lambda m, s, r: (_with_rule(m, "u1", "d", "u3", 1), r),
+    "walk with a foreign pair": lambda m, s, r: (
+        m, dataclasses.replace(r, walk_a=((r.base, _FOREIGN_SYMBOL),) + r.walk_a[1:])
+    ),
+    "not a witness": lambda m, s, r: (m, (s, r)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_CLAUSES))
+def test_verify_rejects_each_broken_clause(utm, case):
+    strong, regular = check_strong_regularity(utm), check_regularity(utm)
+    assert verify_witness(utm, strong) and verify_witness(utm, regular)
+    machine, witness = _BROKEN_CLAUSES[case](utm, strong, regular)
+    assert not verify_witness(machine, witness)
 
 
 def test_self_loop_doubling():

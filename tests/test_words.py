@@ -1,21 +1,25 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from tmdyn import (
     BudgetExceededError,
+    State,
+    Symbol,
+    Transition,
+    TuringMachine,
     count_words,
     count_words_oracle,
     entropy_estimates,
     report_to_csv,
     report_to_json_dict,
-    word_set,
 )
 from tmdyn.machine import HALTING_MODES
 from tmdyn.regularity import STRONGLY_REGULAR
 
-from conftest import machines
+from conftest import machines, word_set
 
 
 def test_length_one_words_are_all_pairs(utm, wutm):
@@ -262,3 +266,19 @@ def test_counts_are_schedule_independent(utm):
     a = word_set(utm, 3)
     b = word_set(utm, 3)
     assert a == b
+
+
+@pytest.mark.parametrize("n_symbols", [255, 256, 300])
+def test_count_words_on_alphabets_past_one_byte(n_symbols):
+    # From 256 symbols on, the counter's tape cells no longer fit in a byte.
+    rng = random.Random(n_symbols)
+    states = (State(0, "q0"), State(1, "q1"), State(2, "halt"))
+    alphabet = tuple(Symbol(i, f"s{i}") for i in range(n_symbols))
+    rules = {
+        (q, s): Transition(rng.choice(states), rng.choice(alphabet), rng.choice((-1, 0, 1)))
+        for q in states[:2]
+        for s in alphabet
+    }
+    m = TuringMachine(states, alphabet, alphabet[0], states[0], states[2], rules)
+    for n in (1, 2):
+        assert count_words(m, n) == len(word_set(m, n))
