@@ -20,7 +20,6 @@ from .gshift import (
     cantor_point_of_config,
     compile_gshift,
     embed,
-    format_sequence,
     gshift_step,
     gshift_to_json_dict,
     unembed,

@@ -61,10 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyze Turing machines as dynamical systems.",
     )
     parser.add_argument("--version", action="version", version=f"tmdyn {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    source = common.add_mutually_exclusive_group(required=True)
+    machine_source = argparse.ArgumentParser(add_help=False)
+    source = machine_source.add_mutually_exclusive_group(required=True)
     source.add_argument("--machine", metavar="NAME", help=f"built-in machine ({', '.join(corpus_names())})")
     source.add_argument("--file", metavar="PATH", help="machine description file")
+    common = argparse.ArgumentParser(add_help=False, parents=[machine_source])
     common.add_argument("--halting-mode", choices=HALTING_MODES, default="fixpoint")
     as_json = argparse.ArgumentParser(add_help=False)
     as_json.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conjugacy-samples", type=_int_at_least(1), default=200)
     p.add_argument("--out", metavar="PATH", help="write the JSON report to a file instead of stdout")
 
-    p = sub.add_parser("graph", parents=[common], help="per-direction shift graph as dot text")
+    p = sub.add_parser("graph", parents=[machine_source], help="per-direction shift graph as dot text")
     p.add_argument("--eps", required=True, choices=("+1", "-1"), help="shift direction")
 
     p = sub.add_parser("entropy", parents=[common, as_json], help="word counts and entropy estimates")
@@ -120,7 +121,9 @@ def _load_machine(args) -> tuple[TuringMachine, dict]:
         text = Path(args.file).read_text(encoding="utf-8")
         source = {"file": args.file}
     source["sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return parse_machine(text, halting_mode=args.halting_mode), source
+    # graph takes no --halting-mode: a shift graph never steps from the halting state.
+    mode = {"halting_mode": args.halting_mode} if "halting_mode" in args else {}
+    return parse_machine(text, **mode), source
 
 
 def _machine_json(machine: TuringMachine, source: dict) -> dict:
@@ -248,7 +251,7 @@ def cmd_simulate(machine: TuringMachine, source: dict, args) -> int:
             print(f"{i:4d}  {format_config(machine, c)}")
     else:
         print(f"{0:4d}  {format_config(machine, config)}")
-        if args.steps:
+        if result.steps_taken:
             print(f"{result.steps_taken:4d}  {format_config(machine, result.final)}")
     if result.halted:
         print(f"halted at time {result.halting_time}")

@@ -35,9 +35,11 @@ Window = tuple
 class SequenceAlphabet(tuple):
     """The ordered tokens of a sequence space plus their membership set.
 
-    A tuple, so it iterates, indexes and compares like the plain tuple it
-    replaces; the frozenset is built once, on first use.  Sequences that
-    share one alphabet compare it by identity, in O(1).
+    The first token is the default of every sequence over the alphabet, and
+    :func:`block_encode` gives each token its index as code, so the default
+    has code 0.  A tuple, so it iterates, indexes and compares like the plain
+    tuple it replaces; the frozenset is built once, on first use.  Sequences
+    that share one alphabet compare it by identity, in O(1).
     """
 
     @cached_property
@@ -47,35 +49,39 @@ class SequenceAlphabet(tuple):
 
 @dataclass(frozen=True)
 class ASequence:
-    """Sparse bi-infinite sequence over a finite alphabet with a default fill.
+    """Sparse bi-infinite sequence over a finite alphabet, filled with its first token.
 
-    Cells holding the default are never stored, so equality of the dataclass
-    fields is equality of sequences.  The constructor canonicalizes and
-    validates, so any ASequence in hand is well formed.  A plain ``alphabet``
-    is wrapped in a :class:`SequenceAlphabet`; a shared one is kept, so each
-    sequence of a replay costs O(its cells), independent of |states| + |alphabet|.
+    The alphabet's first token is the default.  Cells holding it are never
+    stored, so equality of the dataclass fields is equality of sequences.
+    The constructor canonicalizes and validates, so any ASequence in hand is
+    well formed.  A plain ``alphabet`` is wrapped in a
+    :class:`SequenceAlphabet`; a shared one is kept, so each sequence of a
+    replay costs O(its cells), independent of |states| + |alphabet|.
     """
 
     alphabet: tuple[Token, ...]
-    default: Token
     cells: dict[int, Token]
 
     def __post_init__(self) -> None:
         if not isinstance(self.alphabet, SequenceAlphabet):
             object.__setattr__(self, "alphabet", SequenceAlphabet(self.alphabet))
-        known = self.alphabet.members
-        if self.default not in known:
-            raise ValueError("default symbol must be in the alphabet")
+        if not self.alphabet:
+            raise ValueError("the alphabet must not be empty")
+        known, default = self.alphabet.members, self.alphabet[0]
         clean = {}
         for i, v in self.cells.items():
             if v not in known:
                 raise ValueError(f"cell {i} holds {v!r}, which is not in the alphabet")
-            if v != self.default:
+            if v != default:
                 clean[i] = v
         object.__setattr__(self, "cells", clean)
 
+    @property
+    def default(self) -> Token:
+        return self.alphabet[0]
+
     def at(self, i: int) -> Token:
-        return self.cells.get(i, self.default)
+        return self.cells.get(i, self.alphabet[0])
 
     def window(self, lo: int, hi: int) -> Window:
         return tuple(self.at(i) for i in range(lo, hi + 1))
@@ -114,7 +120,7 @@ def gshift_step(shift: GeneralizedShift, seq: ASequence) -> ASequence:
     cells.update(zip(range(-r, r + 1), replacement))  # the constructor drops defaults
     if amount != 0:
         cells = {i - amount: v for i, v in cells.items()}
-    return ASequence(seq.alphabet, seq.default, cells)
+    return ASequence(seq.alphabet, cells)
 
 
 def sequence_alphabet(machine: TuringMachine) -> SequenceAlphabet:
@@ -137,7 +143,7 @@ def _embed(alphabet: SequenceAlphabet, config: Configuration) -> ASequence:
     cells: dict[int, Token] = {0: config.state}
     for i, s in config.tape.items():
         cells[i + 1 if i >= 0 else i] = s
-    return ASequence(alphabet, alphabet[0], cells)
+    return ASequence(alphabet, cells)
 
 
 class NotInImageError(ValueError):
@@ -146,6 +152,8 @@ class NotInImageError(ValueError):
 
 def unembed(machine: TuringMachine, seq: ASequence) -> Configuration:
     """Inverse of :func:`embed` on its image; raises :class:`NotInImageError` off it."""
+    if seq.default != machine.blank:
+        raise NotInImageError("the default is not the machine's blank")
     state = seq.at(0)
     if not _is_member(machine.states, state):
         raise NotInImageError("cell 0 does not hold a state")
@@ -153,8 +161,8 @@ def unembed(machine: TuringMachine, seq: ASequence) -> Configuration:
     for i, v in seq.cells.items():
         if i == 0:
             continue
-        if not isinstance(v, Symbol):
-            raise NotInImageError(f"cell {i} holds a state symbol")
+        if not _is_member(machine.alphabet, v):
+            raise NotInImageError(f"cell {i} does not hold a tape symbol")
         tape[i - 1 if i >= 1 else i] = v
     return Configuration(state, tape)
 
@@ -246,13 +254,12 @@ def block_encode(seq: ASequence) -> dict[int, int]:
     """Fixed-width binary coding of a sequence; only 1-bits are stored.
 
     Each symbol takes w = ceil(log2 |alphabet|) bits; the symbol at cell i
-    occupies bit cells [i*w, (i+1)*w), most significant bit first.  Indices
-    are assigned with the default symbol at 0, so it encodes to all zeroes
+    occupies bit cells [i*w, (i+1)*w), most significant bit first.  A token's
+    code is its alphabet index, so the default, first, encodes to all zeroes
     and finite support is preserved.
     """
-    ordering = [seq.default] + [a for a in seq.alphabet if a != seq.default]
-    index = {token: k for k, token in enumerate(ordering)}
-    width = max(1, (len(ordering) - 1).bit_length())
+    index = {token: k for k, token in enumerate(seq.alphabet)}
+    width = max(1, (len(seq.alphabet) - 1).bit_length())
     bits: dict[int, int] = {}
     for i, token in seq.cells.items():
         code = index[token]
@@ -298,29 +305,15 @@ def cantor_point_of_config(machine: TuringMachine, config: Configuration) -> Can
     return cantor_encode(block_encode(embed(machine, config)))
 
 
-def format_sequence(seq: ASequence) -> str:
-    """Render as ``… a b . c d …`` with cell 0 right after the dot."""
-    radius = max((abs(i) for i in seq.cells), default=0) + 1
-    left = " ".join(str(seq.at(i)) for i in range(-radius, 0))
-    right = " ".join(str(seq.at(i)) for i in range(0, radius + 1))
-    return f"… {left} . {right} …"
-
-
-def _token_json(token: Token) -> dict:
-    if isinstance(token, State):
-        return {"state": token.name}
-    if isinstance(token, Symbol):
-        return {"symbol": token.name}
-    return {"value": str(token)}
+def _token_json(token: State | Symbol) -> dict:
+    return {"state": token.name} if isinstance(token, State) else {"symbol": token.name}
 
 
 def gshift_to_json_dict(shift: GeneralizedShift) -> dict:
-    """JSON dump of the compiled tables (windows in deterministic order)."""
+    """JSON dump of a :func:`compile_gshift` table, whose windows hold only
+    states and tape symbols; windows sort by kind (symbols first), then id."""
     def window_key(window: Window):
-        return tuple(
-            (0, t.id) if isinstance(t, Symbol) else (1, t.id) if isinstance(t, State) else (2, str(t))
-            for t in window
-        )
+        return tuple((isinstance(t, State), t.id) for t in window)
     rules = []
     for window in sorted(shift.rules, key=window_key):
         replacement, amount = shift.rules[window]

@@ -300,8 +300,6 @@ def _verify_regular(machine: TuringMachine, w: RegularWitness) -> bool:
             return False
         total = 1
         for i, (q, s) in enumerate(walk):
-            if q == machine.halting:
-                return False
             out = classify_shift(machine, q, s)
             if out.kind != SHIFT or out.direction != w.direction:
                 return False

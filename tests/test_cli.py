@@ -4,7 +4,10 @@ import contextlib
 import functools
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -426,6 +429,13 @@ def test_simulate_zero_steps_echoes(capsys):
     assert "u1" in out
 
 
+def test_simulate_from_the_halting_state_prints_it_once(capsys):
+    argv = ["simulate", "--machine", "utm_6_4", "--state", "halt", "--steps", "5"]
+    plain = run_cli(capsys, *argv)
+    assert plain == run_cli(capsys, *argv, "--trace")
+    assert plain == (0, "   0  halt | …g . g g…\nhalted at time 0\n", "")
+
+
 def test_simulate_reports_halting_time(capsys, halter_file):
     code, out, _ = run_cli(capsys, "simulate", "--file", halter_file, "--steps", "10")
     assert code == 0
@@ -488,10 +498,9 @@ def _accepted_flags(command):
     }
 
 
-# Flags that change no output: --oracle only checks (see the test below); a shift
-# graph never steps from the halting state and a simulated orbit stops on reaching
-# it, so neither depends on the halting mode.
-_SILENT_FLAGS = {"entropy": {"--oracle"}, "graph": {"--halting-mode"}, "simulate": {"--halting-mode"}}
+# Flags that change no output: --oracle only checks (see the test below); a simulated
+# orbit stops on reaching the halting state, so it does not depend on the halting mode.
+_SILENT_FLAGS = {"entropy": {"--oracle"}, "simulate": {"--halting-mode"}}
 
 
 def _flag_cases(halter, other, out):
@@ -576,6 +585,7 @@ def test_oracle_flag_runs_the_oracle(capsys, monkeypatch):
         (["graph", "--eps", "+1"], ["--format", "dot"]),
         (["entropy", "--n-max", "2"], ["--seed", "1"]),
         (["simulate", "--steps", "2"], ["--seed", "1"]),
+        (["graph", "--eps", "+1"], ["--halting-mode", "restart"]),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, command, foreign):
@@ -622,3 +632,21 @@ def test_gshift_conjugacy_failure_is_analysis_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 1
     assert json.loads(out) == {"samples": 300, "passes": 296, "failures": 4, "seed": 3}
+
+
+def _run_module(*argv):
+    """``python -m tmdyn.cli ...`` in a child process, as the console script runs it."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-m", "tmdyn.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_console_entry_point_exits_with_mains_code(capsys):
+    argv = ["graph", "--machine", "wutm_6_2", "--eps", "+1"]
+    assert _run_module(*argv) == run_cli(capsys, *argv)
+    code, out, err = _run_module(*argv, "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: tmdyn") and err.count("error:") == 1 and "Traceback" not in err

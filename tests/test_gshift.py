@@ -13,13 +13,13 @@ from tmdyn import (
     GeneralizedShift,
     NotInImageError,
     State,
+    Symbol,
     block_encode,
     cantor_encode,
     cantor_point_of_config,
     compile_gshift,
     distance,
     embed,
-    format_sequence,
     gshift_step,
     gshift_to_json_dict,
     make_config,
@@ -90,14 +90,12 @@ def test_unembed_examples(utm):
     q = utm.state_named("u2")
     b = utm.symbol_named("b")
     alphabet = embed(utm, make_config(utm, q)).alphabet
-    assert unembed(utm, ASequence(alphabet, utm.blank, {0: q})) == make_config(utm, q)
-    assert unembed(utm, ASequence(alphabet, utm.blank, {0: q, 1: b})) == make_config(
-        utm, q, "b", 0
-    )
+    assert unembed(utm, ASequence(alphabet, {0: q})) == make_config(utm, q)
+    assert unembed(utm, ASequence(alphabet, {0: q, 1: b})) == make_config(utm, q, "b", 0)
     with pytest.raises(NotInImageError):
-        unembed(utm, ASequence(alphabet, utm.blank, {1: q}))
+        unembed(utm, ASequence(alphabet, {1: q}))
     with pytest.raises(NotInImageError):
-        unembed(utm, ASequence(alphabet, utm.blank, {0: q, 2: utm.state_named("u1")}))
+        unembed(utm, ASequence(alphabet, {0: q, 2: utm.state_named("u1")}))
 
 
 def test_unembed_rejects_foreign_state_ids(utm):
@@ -105,9 +103,27 @@ def test_unembed_rejects_foreign_state_ids(utm):
     # state of the machine: out-of-range id, or id 0 with a foreign name.
     alphabet = tuple(embed(utm, make_config(utm, utm.initial)).alphabet)
     for foreign in (State(len(utm.states), "u1"), State(-1, "u1"), State(0, "zz")):
-        seq = ASequence(alphabet + (foreign,), utm.blank, {0: foreign})
+        seq = ASequence(alphabet + (foreign,), {0: foreign})
         with pytest.raises(NotInImageError, match="cell 0 does not hold a state"):
             unembed(utm, seq)
+
+
+def test_unembed_rejects_sequences_off_the_image(utm):
+    u1, g, b = utm.state_named("u1"), utm.symbol_named("g"), utm.symbol_named("b")
+    alphabet = embed(utm, make_config(utm, u1)).alphabet
+    # The same tokens with b first, so b fills the sequence and the blank g is stored.
+    b_first = (b,) + tuple(t for t in alphabet if t != b)
+    with pytest.raises(NotInImageError, match="default"):
+        unembed(utm, ASequence(b_first, {0: u1, 1: g}))
+    foreign = Symbol(9, "z")
+    with pytest.raises(NotInImageError, match="cell 1 does not hold a tape symbol"):
+        unembed(utm, ASequence(alphabet + (foreign,), {0: u1, 1: foreign}))
+    # On the image, unembed inverts embed.
+    rng = random.Random(11)
+    for _ in range(200):
+        tape = [rng.choice(utm.alphabet) for _ in range(rng.randint(0, 8))]
+        seq = embed(utm, make_config(utm, rng.choice(utm.states), tape, rng.randint(-4, 4)))
+        assert embed(utm, unembed(utm, seq)) == seq
 
 
 def test_embed_is_equal_across_separate_parses():
@@ -122,7 +138,7 @@ def test_embed_is_equal_across_separate_parses():
 def test_plain_tuple_sequence_equals_embedding(utm):
     x = make_config(utm, utm.state_named("u2"), "b c d", -1)
     seq = embed(utm, x)
-    plain = ASequence(tuple(seq.alphabet), utm.blank, dict(seq.cells))
+    plain = ASequence(tuple(seq.alphabet), dict(seq.cells))
     assert plain == seq
     assert plain.alphabet == seq.alphabet and plain.cells == seq.cells
 
@@ -162,7 +178,7 @@ def test_embedding_metric_compatibility(mxy):
 
 def test_identity_shift():
     alphabet = ("x", "y")
-    seq = ASequence(alphabet, "x", {3: "y"})
+    seq = ASequence(alphabet, {3: "y"})
     identity = GeneralizedShift(1, {})
     assert gshift_step(identity, seq) == seq
 
@@ -173,7 +189,7 @@ def test_pure_shift_moves_cells():
     for w0 in alphabet:
         rules[(w0,)] = ((w0,), 1)
     bernoulli = GeneralizedShift(0, rules)
-    seq = ASequence(alphabet, "_", {0: "a"})
+    seq = ASequence(alphabet, {0: "a"})
     assert gshift_step(bernoulli, seq).cells == {-1: "a"}
 
 
@@ -241,18 +257,18 @@ def test_conjugacy_pointwise_and_forward_invariance(mc):
 
 
 def test_block_encode_binary_alphabet_is_identity():
-    seq = ASequence(("_", "1"), "_", {4: "1", -2: "1"})
+    seq = ASequence(("_", "1"), {4: "1", -2: "1"})
     assert block_encode(seq) == {4: 1, -2: 1}
 
 
 def test_block_encode_default_only_is_empty():
-    seq = ASequence(("_", "1"), "_", {})
+    seq = ASequence(("_", "1"), {})
     assert block_encode(seq) == {}
 
 
 def test_block_encode_wide_alphabet():
     alphabet = tuple(range(10))
-    seq = ASequence(alphabet, 0, {-1: 3})
+    seq = ASequence(alphabet, {-1: 3})
     # width 4, symbol 3 at cell -1 occupies bit cells [-4, 0) as 0011
     assert block_encode(seq) == {-2: 1, -1: 1}
 
@@ -319,13 +335,7 @@ def test_cantor_point_of_config_is_continuous_and_injective(utm, wutm):
         assert len(points) == len(machine.states) * len(machine.alphabet) ** 3
 
 
-# --- rendering and dumps ------------------------------------------------------------
-
-
-def test_format_sequence(utm):
-    seq = embed(utm, make_config(utm, utm.state_named("u2"), "b", 0))
-    text = format_sequence(seq)
-    assert ". u2 b" in text
+# --- dumps ------------------------------------------------------------------------
 
 
 def test_gshift_json_dump(utm):
@@ -339,7 +349,9 @@ def test_gshift_json_dump(utm):
 
 def test_asequence_canonicalization(utm):
     alphabet = (utm.blank, utm.symbol_named("b"))
-    seq = ASequence(alphabet, utm.blank, {0: utm.blank, 1: utm.symbol_named("b")})
+    seq = ASequence(alphabet, {0: utm.blank, 1: utm.symbol_named("b")})
     assert seq.cells == {1: utm.symbol_named("b")}
     with pytest.raises(ValueError):
-        ASequence(alphabet, utm.blank, {0: "zzz"})
+        ASequence(alphabet, {0: "zzz"})
+    with pytest.raises(ValueError, match="must not be empty"):
+        ASequence((), {})

@@ -310,7 +310,7 @@ def test_no_witness_certificate(alternator):
     cert = entropy_lower_bound(alternator)
     assert cert.verdict == NO_WITNESS
     assert cert.log_of is None and cert.over is None and cert.witness is None
-    assert cert.bound_float() is None
+    assert cert.bound_float() is None and cert.bound_text() is None
     doc = certificate_to_json_dict(cert)
     assert doc["bound"] is None and doc["witness"] is None
 

@@ -121,6 +121,8 @@ def test_caps_and_budgets(utm):
         word_set(utm, 5)
     with pytest.raises(ValueError):
         count_words(utm, 0)
+    with pytest.raises(ValueError):
+        entropy_estimates(utm, 0)
     with pytest.raises(BudgetExceededError):
         count_words(utm, 3, node_budget=10)
 
