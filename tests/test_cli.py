@@ -161,13 +161,14 @@ def test_analyze_on_random_file_bytes_never_raises(tmp_path_factory, data):
 
 # Flags of each subcommand, mapped to a strategy for their value (None for
 # switches); sizes stay small, so every command finishes quickly.
-_COMMON_FLAGS = {"--halting-mode": st.sampled_from(["fixpoint", "restart"])}
+_MODE = {"--halting-mode": st.sampled_from(["fixpoint", "restart"])}
 _JSON = {"--json": None}
 _SEED = {"--seed": st.integers(-2, 9)}
 _COMMAND_FLAGS = {
-    "analyze": {**_SEED, "--n-max": st.integers(0, 4), "--conjugacy-samples": st.integers(0, 20)},
+    "analyze": {**_MODE, **_SEED, "--n-max": st.integers(0, 4), "--conjugacy-samples": st.integers(0, 20)},
     "graph": {"--eps": st.sampled_from(["+1", "-1", "0"])},
     "entropy": {
+        **_MODE,
         **_JSON,
         "--n-max": st.integers(0, 3),  # the oracle takes seconds at n = 4
         "--oracle": None,
@@ -175,6 +176,7 @@ _COMMAND_FLAGS = {
         "--initial-only": None,
     },
     "simulate": {
+        **_MODE,
         **_JSON,
         "--state": st.sampled_from(["q0", "u2", "halt", "nope"]),
         "--tape": st.sampled_from(["", "1 0 1", "b d", "?"]),
@@ -182,7 +184,7 @@ _COMMAND_FLAGS = {
         "--steps": st.integers(-1, 50),
         "--trace": None,
     },
-    "gshift": {**_JSON, **_SEED, "--verify": st.integers(0, 20), "--dump": None},
+    "gshift": {**_MODE, **_JSON, **_SEED, "--verify": st.integers(0, 20), "--dump": None},
 }
 # Flags that some subcommands (for --format, all) do not take; drawn rarely, so
 # the "unrecognized arguments" exit stays covered without crowding out real runs.
@@ -202,7 +204,7 @@ def cli_argvs(draw, files):
     sources = [["--machine", name] for name in (*corpus_names(), "nope")]
     sources += [["--file", path] for path in (*files.values(), "/no/such/file.tm")]
     argv = [command, *draw(st.sampled_from(sources))]
-    flags = {**_COMMON_FLAGS, **_COMMAND_FLAGS[command]}
+    flags = _COMMAND_FLAGS[command]
     # the flag each command needs first (its default sample count is 200 for
     # analyze), then a few more; a repeated flag takes its last value
     first = draw(st.sampled_from(_FIRST_FLAGS[command]))

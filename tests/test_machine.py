@@ -1,6 +1,12 @@
+import copy
 import dataclasses
+import gc
+import pickle
 import random
 import re
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +21,9 @@ from tmdyn import (
     State,
     Symbol,
     Transition,
+    builtin_machine,
+    corpus_names,
+    corpus_text,
     distance,
     make_config,
     parse_machine,
@@ -101,6 +110,12 @@ _INVALID = {
             m, rules={**m.rules, (m.halting, m.blank): Transition(m.initial, m.blank, 0)}
         ),
         "unexpected rule for (halt, 0)",
+    ),
+    "unexpected rules, first in table order": (
+        lambda m: dataclasses.replace(
+            m, rules={**m.rules, **{(m.halting, s): Transition(m.initial, s, 0) for s in reversed(m.alphabet)}}
+        ),
+        "unexpected rule for (halt, 1)",
     ),
     "foreign rule target": (
         lambda m: dataclasses.replace(
@@ -521,3 +536,85 @@ def test_halting_locality_sample():
         other_trace = [(c.state, c.tape.get(0, machine.blank)) for c in iterate(machine, y, n)]
         assert other_trace == trace
         checked += 1
+
+
+# --- interned states and symbols -----------------------------------------------
+
+
+def _tokens_of(m):
+    rule_tokens = [t for (q, s), tr in m.rules.items() for t in (q, s, tr.next_state, tr.write)]
+    return [*m.states, *m.alphabet, m.blank, m.initial, m.halting, *rule_tokens]
+
+
+def _assert_same_tokens(a, b):
+    assert all(x is y for x, y in zip(_tokens_of(a), _tokens_of(b), strict=True))
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_parses_of_one_text_share_their_tokens(name):
+    _assert_same_tokens(parse_machine(corpus_text(name)), parse_machine(corpus_text(name)))
+    _assert_same_tokens(builtin_machine(name), parse_machine(corpus_text(name)))
+
+
+def test_a_state_never_equals_a_symbol():
+    assert State(0, "a") != Symbol(0, "a")
+    assert State(0, "a") is not Symbol(0, "a")
+    assert State(0, "a") is State(0, "a") and Symbol(0, "a") is Symbol(id=0, name="a")
+    assert State(0, "a") != State(0, "b") and State(0, "a") != State(1, "a")
+
+
+def test_tokens_hash_and_compare_in_c():
+    for cls in (State, Symbol):
+        assert cls.__eq__ is object.__eq__
+        assert cls.__hash__ is object.__hash__
+
+
+_COPIES = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": dataclasses.replace,
+}
+
+
+@pytest.mark.parametrize("how", sorted(_COPIES))
+def test_copies_keep_identity(utm, how):
+    copied = _COPIES[how]
+    for token in (State(3, "q"), Symbol(3, "q"), utm.initial, utm.blank):
+        assert copied(token) is token
+    _assert_same_tokens(copied(utm), utm)
+
+
+def test_with_halting_mode_and_replace_keep_identity(utm):
+    _assert_same_tokens(utm.with_halting_mode("restart"), utm)
+    assert dataclasses.replace(utm.blank, name="zz") is Symbol(utm.blank.id, "zz")
+
+
+def test_tokens_nothing_references_are_not_kept():
+    ref = weakref.ref(State(10**6, "zz"))
+    gc.collect()
+    assert ref() is None
+    assert State(10**6, "zz").name == "zz"
+
+
+def test_threads_building_one_value_get_one_object():
+    barrier, results = threading.Barrier(8, timeout=30), [[] for _ in range(8)]
+
+    def build(out):
+        barrier.wait()
+        out.extend(State(2 * 10**6 + k, "race") for k in range(300))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that misses overlap
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(out) for out in results] == [300] * 8
+    for built in zip(*results):
+        assert all(x is built[0] for x in built)
