@@ -19,6 +19,7 @@ from tmdyn import (
     corpus_names,
     entropy_estimates,
     shift_graph,
+    shift_table,
     verify_conjugacy,
     verify_witness,
 )
@@ -61,8 +62,9 @@ def describe(name: str, n_max: int, samples: int, seed: int) -> None:
     print(f"certificate: {certificate.verdict}", end="")
     print(f", entropy >= {certificate.bound_text()} = {bound:.6f}" if bound else "")
 
+    table = shift_table(machine)
     for direction in (1, -1):
-        graph = shift_graph(machine, direction)
+        graph = shift_graph(table, direction)
         print(f"shift graph {direction:+d}: {len(graph.edges)} edges")
 
     print(f"word counts up to n = {n_max}:")

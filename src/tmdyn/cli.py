@@ -158,8 +158,11 @@ def _conjugacy_json(report: ConjugacyReport) -> dict:
     }
 
 
-def _dump(data: dict) -> None:
-    print(json.dumps(data, indent=2))
+def _dump(data: dict, path=None) -> None:
+    if path:
+        Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    else:
+        print(json.dumps(data, indent=2))
 
 
 def cmd_analyze(machine: TuringMachine, source: dict, args) -> int:
@@ -173,26 +176,22 @@ def cmd_analyze(machine: TuringMachine, source: dict, args) -> int:
         "seed": args.seed,
         "shift_table": shift_table_rows(table),
         "graphs": {
-            "+1": _graph_json(shift_graph(machine, 1, table)),
-            "-1": _graph_json(shift_graph(machine, -1, table)),
+            "+1": _graph_json(shift_graph(table, 1)),
+            "-1": _graph_json(shift_graph(table, -1)),
         },
         "certificate": certificate_to_json_dict(certificate),
         "conjugacy": _conjugacy_json(conj),
     }
     if words is not None:
         report["word_counts"] = report_to_json_dict(words)
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _dump(report, args.out)
     if words is not None and words.budget_error:
         raise BudgetExceededError(words.budget_error)  # after the report; main exits 1
     return 1 if conj.failures else 0
 
 
 def cmd_graph(machine: TuringMachine, source: dict, args) -> int:
-    sys.stdout.write(graph_to_dot(shift_graph(machine, int(args.eps))))
+    sys.stdout.write(graph_to_dot(shift_graph(shift_table(machine), int(args.eps))))
     return 0
 
 
@@ -297,7 +296,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MachineError, OSError, UnicodeDecodeError) as exc:
+    except (MachineError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,11 +7,13 @@ left".  Tapes are stored sparsely and blank cells are never stored, which
 keeps configurations canonical: two configurations are equal iff their
 fields are equal.
 
-Machines are immutable after construction and every operation here is a pure
-function of its inputs, so everything is safe to share across threads.  This
-holds for the one module-level table that interns states and symbols too: a
-miss is stored under a lock, so threads that build one value get one object,
-and values are held weakly, so the table keeps no token nothing references.
+Machines and configurations are frozen dataclasses that hold plain dicts
+(``rules``, ``tape``), so they are unhashable and their dicts must not be
+mutated.  Every operation here is a pure function of its inputs, so
+everything is safe to share across threads.  This holds for the one
+module-level table that interns states and symbols too: a miss is stored
+under a lock, so threads that build one value get one object, and values are
+held weakly, so the table keeps no token nothing references.
 """
 
 from __future__ import annotations
@@ -83,9 +85,6 @@ class _Token:
 
     def __reduce__(self):
         return type(self), (self.id, self.name)
-
-    def __str__(self) -> str:
-        return self.name
 
 
 class Symbol(_Token):

@@ -62,20 +62,29 @@ class RegularWitness:
 
 @dataclass(frozen=True)
 class EntropyCertificate:
-    """Verdict plus an exact bound log(log_of)/over when a witness exists."""
+    """A witness, or None; the verdict and the exact bound log(log_of)/over follow from it."""
 
-    verdict: str
-    log_of: int | None
-    over: int | None
     witness: Union[StrongWitness, RegularWitness, None]
 
+    def _terms(self) -> tuple[str, int | None, int | None]:
+        w = self.witness
+        if isinstance(w, StrongWitness):
+            return STRONGLY_REGULAR, len(w.symbols), 1
+        if isinstance(w, RegularWitness):
+            return REGULAR, 2, w.cost
+        return NO_WITNESS, None, None
+
+    verdict = property(lambda self: self._terms()[0])
+    log_of = property(lambda self: self._terms()[1])
+    over = property(lambda self: self._terms()[2])
+
     def bound_float(self) -> float | None:
-        if self.log_of is None:
+        if self.witness is None:
             return None
         return math.log(self.log_of) / self.over
 
     def bound_text(self) -> str | None:
-        if self.log_of is None:
+        if self.witness is None:
             return None
         return f"log {self.log_of}" if self.over == 1 else f"log {self.log_of} / {self.over}"
 
@@ -147,7 +156,7 @@ def check_regularity(machine: TuringMachine) -> Optional[RegularWitness]:
     table = shift_table(machine)
     steps = {pair: out.steps for pair, out in table.items() if out.kind == SHIFT}
     for direction in (1, -1):
-        graph = shift_graph(machine, direction, table)
+        graph = shift_graph(table, direction)
         component = _component_labels(graph)
         # Closing out-edges per vertex, in label order (graph.edges is in
         # (source, label) order); labels are unique per source.
@@ -260,14 +269,14 @@ def verify_witness(machine: TuringMachine, witness: Union[StrongWitness, Regular
     classification, and neither walk may be a prefix of the other, so that
     the pair is a prefix code and distinct concatenations give distinct
     words (two powers of one loop are rejected).  Malformed witnesses
-    (foreign states, missing fields) verify as False rather than raising.
+    (foreign states, missing or ill-typed fields) verify as False rather than raising.
     """
     try:
         if isinstance(witness, StrongWitness):
             return _verify_strong(machine, witness)
         if isinstance(witness, RegularWitness):
             return _verify_regular(machine, witness)
-    except (KeyError, ValueError):
+    except (KeyError, TypeError, ValueError):
         return False
     return False
 
@@ -321,12 +330,7 @@ def entropy_lower_bound(machine: TuringMachine) -> EntropyCertificate:
     carries no bound at all; this is not a zero-entropy claim.
     """
     strong = check_strong_regularity(machine)
-    if strong is not None:
-        return EntropyCertificate(STRONGLY_REGULAR, len(strong.symbols), 1, strong)
-    regular = check_regularity(machine)
-    if regular is not None:
-        return EntropyCertificate(REGULAR, 2, regular.cost, regular)
-    return EntropyCertificate(NO_WITNESS, None, None, None)
+    return EntropyCertificate(strong if strong is not None else check_regularity(machine))
 
 
 def certificate_to_json_dict(certificate: EntropyCertificate) -> dict:

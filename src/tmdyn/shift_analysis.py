@@ -93,11 +93,12 @@ class ShiftEdge:
 
 @dataclass(frozen=True)
 class ShiftGraph:
-    """Directed multigraph of all pairs shifting in one direction.
+    """Directed multigraph of all pairs of a shift table shifting in one direction.
 
-    Vertices are the non-halting states; there is one edge per (state,
-    symbol) pair whose classification is a shift with matching direction,
-    labeled by the symbol.  Labels are therefore unique per source vertex.
+    Vertices are the table's states (for a :func:`shift_table`, the
+    non-halting states); there is one edge per (state, symbol) pair whose
+    classification is a shift with matching direction, labeled by the symbol.
+    Labels are therefore unique per source vertex.
     """
 
     direction: int
@@ -105,22 +106,16 @@ class ShiftGraph:
     edges: tuple[ShiftEdge, ...]
 
 
-def shift_graph(
-    machine: TuringMachine,
-    direction: int,
-    table: dict[tuple[State, Symbol], ShiftOutcome] | None = None,
-) -> ShiftGraph:
-    """Build the per-direction multigraph; edges keep the table's (source id, label id) order."""
+def shift_graph(table: dict[tuple[State, Symbol], ShiftOutcome], direction: int) -> ShiftGraph:
+    """The per-direction multigraph of a shift table; vertices and edges keep the table's order."""
     if direction not in (-1, 1):
         raise ValueError("direction must be -1 or +1")
-    if table is None:
-        table = shift_table(machine)
     edges = tuple(
         ShiftEdge(q, out.exit_state, s)
         for (q, s), out in table.items()
         if out.kind == SHIFT and out.direction == direction
     )
-    return ShiftGraph(direction, machine.non_halting_states(), edges)
+    return ShiftGraph(direction, tuple(dict.fromkeys(q for q, _ in table)), edges)
 
 
 def graph_to_dot(graph: ShiftGraph) -> str:

@@ -205,7 +205,7 @@ def entropy_estimates(
     before it.  ``node_budget`` applies to each row, with memo hits free, so
     no row costs more than :func:`count_words` alone; the first row that runs
     out ends the report.  Memory grows with the memo entries of all rows
-    (peak RSS 24.4 MB for n_max = 18 on utm_6_4, 22.6 MB with a memo per row).
+    (peak RSS 24.4 MB for n_max = 18 on utm_6_4).
 
     With ``initial_only`` the counts cover only orbits started in the initial
     state; that restriction is exploratory and the bracketing guarantee

@@ -22,6 +22,7 @@ from tmdyn import (
     random_machine,
     run,
     shift_graph,
+    shift_table,
     step,
     verify_conjugacy,
     verify_witness,
@@ -79,7 +80,7 @@ def test_criterion_02_wutm_verdicts(wutm):
 
 
 def test_criterion_03_wutm_plus_graph(wutm):
-    graph = shift_graph(wutm, 1)
+    graph = shift_graph(shift_table(wutm), 1)
     vertices = {v.name for v in graph.vertices}
     edges = sorted((e.src.name, e.dst.name) for e in graph.edges)
     ok = vertices == {"u1", "u2", "u3", "u4", "u5", "u6"} and edges == [

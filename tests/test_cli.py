@@ -636,10 +636,10 @@ def test_gshift_conjugacy_failure_is_analysis_failure(capsys, monkeypatch):
     assert json.loads(out) == {"samples": 300, "passes": 296, "failures": 4, "seed": 3}
 
 
-def _run_module(*argv):
+def _run_module(*argv, env=()):
     """``python -m tmdyn.cli ...`` in a child process, as the console script runs it."""
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(
         [sys.executable, "-m", "tmdyn.cli", *argv], capture_output=True, text=True, env=env, timeout=60
     )
@@ -652,3 +652,11 @@ def test_console_entry_point_exits_with_mains_code(capsys):
     code, out, err = _run_module(*argv, "--seed", "1")
     assert (code, out) == (2, "")
     assert err.startswith("usage: tmdyn") and err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_stdout_that_cannot_encode_the_output_is_usage_error():
+    # simulate's tape text has "…", which an ASCII stdout cannot write.
+    argv = ["simulate", "--machine", "utm_6_4", "--steps", "2"]
+    code, _, err = _run_module(*argv, env={"PYTHONIOENCODING": "ascii"})
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "Traceback" not in err

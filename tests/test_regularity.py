@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tmdyn import (
     BudgetExceededError,
+    EntropyCertificate,
     RegularWitness,
     State,
     StrongWitness,
@@ -41,7 +42,7 @@ def brute_force_regular(machine):
     search reduces to bounded reachability per out-edge.
     """
     for direction in (1, -1):
-        graph = shift_graph(machine, direction)
+        graph = shift_graph(shift_table(machine), direction)
         bound = 2 * len(graph.edges)
         for v in graph.vertices:
             closing = [
@@ -214,6 +215,11 @@ _BROKEN_CLAUSES = {
         m, dataclasses.replace(r, walk_a=((r.base, _FOREIGN_SYMBOL),) + r.walk_a[1:])
     ),
     "not a witness": lambda m, s, r: (m, (s, r)),
+    "strong block without a symbol set": lambda m, s, r: (m, dataclasses.replace(s, symbols=None)),
+    "regular witness without walk b": lambda m, s, r: (m, dataclasses.replace(r, walk_b=None)),
+    "walk of bare states": lambda m, s, r: (
+        m, dataclasses.replace(r, walk_a=tuple(q for q, _ in r.walk_a))
+    ),
 }
 
 
@@ -262,7 +268,7 @@ def test_scc_criterion_matches_brute_force(machine):
 @settings(max_examples=100, deadline=None)
 def test_component_labels_are_mutual_reachability(machine):
     for direction in (1, -1):
-        graph = shift_graph(machine, direction)
+        graph = shift_graph(shift_table(machine), direction)
         label = _component_labels(graph)
         bound = len(graph.vertices)
         for v, w in itertools.product(graph.vertices, repeat=2):
@@ -310,6 +316,7 @@ def test_no_witness_certificate(alternator):
     cert = entropy_lower_bound(alternator)
     assert cert.verdict == NO_WITNESS
     assert cert.log_of is None and cert.over is None and cert.witness is None
+    assert [f.name for f in dataclasses.fields(EntropyCertificate)] == ["witness"]
     assert cert.bound_float() is None and cert.bound_text() is None
     doc = certificate_to_json_dict(cert)
     assert doc["bound"] is None and doc["witness"] is None
@@ -345,6 +352,6 @@ def test_certificate_side_does_not_depend_on_halting_mode():
         for fn in (shift_table, check_strong_regularity, check_regularity, entropy_lower_bound):
             assert fn(fixpoint) == fn(restart)
         for direction in (1, -1):
-            assert shift_graph(fixpoint, direction) == shift_graph(restart, direction)
+            assert shift_graph(shift_table(fixpoint), direction) == shift_graph(shift_table(restart), direction)
         counts_differ += count_words(fixpoint, 4) != count_words(restart, 4)
     assert counts_differ > 0

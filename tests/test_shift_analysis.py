@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,11 +7,14 @@ from tmdyn import (
     HALT,
     PERIODIC,
     SHIFT,
+    ShiftGraph,
     ShiftOutcome,
+    State,
     classify_shift,
     graph_to_dot,
     make_config,
     parse_machine,
+    random_machine,
     shift_graph,
     shift_table,
 )
@@ -34,6 +39,15 @@ def test_no_shift_fixed_point_is_periodic(no_shift_loop):
     q = no_shift_loop.state_named("q")
     for s in no_shift_loop.alphabet:
         assert classify_shift(no_shift_loop, q, s).kind == PERIODIC
+
+
+@pytest.mark.parametrize(
+    "args", [("bogus",), (SHIFT, 1, None, 1), (SHIFT, 1, State(0, "q0"), 0)], ids=repr
+)
+def test_malformed_outcome_rejected(args):
+    # A caller's table reaches shift_graph as is, so its outcomes guard themselves.
+    with pytest.raises(ValueError):
+        ShiftOutcome(*args)
 
 
 def test_halting_state_rejected(utm):
@@ -62,45 +76,56 @@ def test_utm_table(utm):
 
 def test_all_periodic_machine_has_empty_graphs(no_shift_loop):
     for direction in (1, -1):
-        assert shift_graph(no_shift_loop, direction).edges == ()
+        assert shift_graph(shift_table(no_shift_loop), direction).edges == ()
 
 
 def test_wutm_plus_graph(wutm):
-    graph = shift_graph(wutm, 1)
+    graph = shift_graph(shift_table(wutm), 1)
     assert {v.name for v in graph.vertices} == {"u1", "u2", "u3", "u4", "u5", "u6"}
     assert {(e.src.name, e.dst.name) for e in graph.edges} == WUTM_PLUS_EDGES
     assert len(graph.edges) == 5
 
 
 def test_utm_plus_graph_has_u2_self_loops(utm):
-    graph = shift_graph(utm, 1)
+    graph = shift_graph(shift_table(utm), 1)
     loops = sorted(
         e.label.name for e in graph.edges if e.src.name == "u2" and e.dst.name == "u2"
     )
     assert loops == ["b", "d"]
 
 
+def test_graph_vertices_are_the_non_halting_states(utm, wutm):
+    halt_only = parse_machine("states: halt\nalphabet: 0 1\nblank: 0\ninitial: halt\nhalting: halt\n")
+    pool = [utm, wutm, halt_only] + [random_machine(random.Random(seed), 5, 3) for seed in range(40)]
+    for machine in pool:
+        for direction in (1, -1):
+            assert shift_graph(shift_table(machine), direction).vertices == machine.non_halting_states()
+    assert shift_table(halt_only) == {}
+    for direction in (1, -1):
+        assert shift_graph(shift_table(halt_only), direction) == ShiftGraph(direction, (), ())
+
+
 def test_bad_direction_rejected(utm):
     with pytest.raises(ValueError):
-        shift_graph(utm, 2)
+        shift_graph(shift_table(utm), 2)
 
 
 # --- dot export -----------------------------------------------------------------
 
 
 def test_dot_wutm_plus(wutm):
-    dot = graph_to_dot(shift_graph(wutm, 1))
+    dot = graph_to_dot(shift_graph(shift_table(wutm), 1))
     lines = dot.strip().splitlines()
     vertex_lines = [l for l in lines if l.endswith('";')]
     edge_lines = [l for l in lines if "->" in l]
     assert len(vertex_lines) == 6
     assert len(edge_lines) == 5
     assert '  "u4" -> "u5" [label="g"];' in lines
-    assert dot == graph_to_dot(shift_graph(wutm, 1))  # deterministic
+    assert dot == graph_to_dot(shift_graph(shift_table(wutm), 1))  # deterministic
 
 
 def test_dot_empty_graph(no_shift_loop):
-    dot = graph_to_dot(shift_graph(no_shift_loop, 1))
+    dot = graph_to_dot(shift_graph(shift_table(no_shift_loop), 1))
     assert "->" not in dot
     assert '"q";' in dot
 
@@ -110,7 +135,7 @@ def test_dot_preserves_parallel_edges():
         "states: q1 q2 halt\nalphabet: a b\nblank: a\ninitial: q1\nhalting: halt\n"
         "q1 a -> q2 a R\nq1 b -> q2 b R\nq2 a -> q2 a N\nq2 b -> q2 b N\n"
     )
-    dot = graph_to_dot(shift_graph(m, 1))
+    dot = graph_to_dot(shift_graph(shift_table(m), 1))
     assert '  "q1" -> "q2" [label="a"];' in dot
     assert '  "q1" -> "q2" [label="b"];' in dot
 
@@ -175,4 +200,4 @@ def test_graph_edge_counts_match_table(machine):
         expected = sum(
             1 for out in table.values() if out.kind == SHIFT and out.direction == direction
         )
-        assert len(shift_graph(machine, direction).edges) == expected
+        assert len(shift_graph(shift_table(machine), direction).edges) == expected
