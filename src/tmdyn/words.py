@@ -8,15 +8,15 @@ with a certificate from :mod:`tmdyn.regularity` each report row brackets the
 entropy from above and below.
 
 Two counters are provided.  The oracle fixes every tape cell the head could
-possibly visit and simulates outright; it is exponentially expensive and
-exists as ground truth.  The production counter :func:`count_words` assigns
+possibly visit and simulates outright on a plain list tape; it shares only
+``machine.transition`` with the production counter and is exponentially
+expensive ground truth.  The production counter :func:`count_words` assigns
 tape cells on first read, which only branches where the trace can actually
 differ, and counts the leaves of that search tree, sharing the count of
 every subtree that starts at a first read with the same state, reads left
-and tape window.  Starting states deliberately range over *all*
-states, halting one included (its traces follow the configured halting
-extension); pass ``initial_only=True`` to explore the restriction to the
-initial state.
+and tape window.  Starting states deliberately range over *all* states,
+halting one included (its traces follow the configured halting extension);
+pass ``initial_only=True`` to explore the restriction to the initial state.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .machine import BudgetExceededError, Configuration, State, Symbol, TuringMachine, _id_table, step
+from .machine import BudgetExceededError, State, Symbol, TuringMachine, _id_table
 from .regularity import EntropyCertificate, certificate_to_json_dict, entropy_lower_bound
 
 #: One n-word: ((state, symbol), ...) of length n.
@@ -44,24 +44,23 @@ def count_words_oracle(machine: TuringMachine, n: int, *, initial_only: bool = F
     In n - 1 steps the head cannot leave cells [-(n-1), n-1], so symbols
     outside that window never influence the trace and enumerating the
     |alphabet| ** (2n - 1) window assignments (times every starting state) is
-    exhaustive.  Because of that cost n is capped at :data:`ORACLE_MAX_N`
-    (5); a larger n raises ``ValueError``.
+    exhaustive.  Each window runs on a plain list tape through
+    ``machine.transition``, all the oracle shares with :func:`count_words`.
+    n is capped at :data:`ORACLE_MAX_N` (5); a larger n raises ``ValueError``.
     """
     if not 1 <= n <= ORACLE_MAX_N:
         raise ValueError(f"n must be in 1..{ORACLE_MAX_N} for the oracle (got {n})")
-    cells = range(-(n - 1), n)
     traces: set[TraceWord] = set()
     starts = (machine.initial,) if initial_only else machine.states
     for q in starts:
         for window in itertools.product(machine.alphabet, repeat=2 * n - 1):
-            config = Configuration(
-                q, {i: s for i, s in zip(cells, window) if s != machine.blank}
-            )
-            trace = []
+            state, tape, head = q, list(window), n - 1
+            trace = [(state, tape[head])]
             for _ in range(n - 1):
-                trace.append((config.state, config.tape.get(0, machine.blank)))
-                config = step(machine, config)
-            trace.append((config.state, config.tape.get(0, machine.blank)))
+                tr = machine.transition(state, tape[head])
+                tape[head] = tr.write
+                state, head = tr.next_state, head + tr.move
+                trace.append((state, tape[head]))
             traces.add(tuple(trace))
     return len(traces)
 

@@ -10,9 +10,11 @@ from tmdyn import (
     Symbol,
     Transition,
     TuringMachine,
+    builtin_machine,
     count_words,
     count_words_oracle,
     entropy_estimates,
+    random_machine,
     report_to_csv,
     report_to_json_dict,
 )
@@ -102,6 +104,66 @@ def test_restart_mode_oracle_equivalence():
     )
     for n in (1, 2, 3, 4):
         assert count_words(machine, n) == count_words_oracle(machine, n)
+
+
+# Oracle values c(1), c(2), ... frozen from the oracle that stepped canonical
+# configurations through `step`, per (halting mode, initial_only).
+_ORACLE_VALUES = {
+    "utm_6_4": {
+        ("fixpoint", False): (28, 97, 283, 871),
+        ("restart", False): (28, 97, 295, 925),
+        ("fixpoint", True): (4, 16, 55, 178),
+        ("restart", True): (4, 16, 55, 178),
+    },
+    "wutm_6_2": {
+        ("fixpoint", False): (14, 26, 41, 68, 112),
+        ("restart", False): (14, 26, 43, 74, 124),
+        ("fixpoint", True): (2, 4, 8, 14, 23),
+        ("restart", True): (2, 4, 8, 14, 23),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_VALUES))
+@pytest.mark.parametrize("mode", HALTING_MODES)
+@pytest.mark.parametrize("initial_only", [False, True])
+def test_oracle_frozen_values_equal_count_words_on_corpus(name, mode, initial_only):
+    machine = builtin_machine(name).with_halting_mode(mode)
+    expected = _ORACLE_VALUES[name][mode, initial_only]
+    ns = range(1, len(expected) + 1)
+    assert tuple(count_words_oracle(machine, n, initial_only=initial_only) for n in ns) == expected
+    assert tuple(count_words(machine, n, initial_only=initial_only) for n in ns) == expected
+
+
+def test_oracle_equals_count_words_on_seeded_random_machines():
+    for seed in range(60):
+        machine = random_machine(random.Random(seed), 4, 3, halt_prob=0.3)
+        for mode in HALTING_MODES:
+            m = machine.with_halting_mode(mode)
+            for initial_only in (False, True):
+                for n in (1, 2, 3):
+                    expected = count_words(m, n, initial_only=initial_only)
+                    assert count_words_oracle(m, n, initial_only=initial_only) == expected, (
+                        seed, mode, initial_only, n,
+                    )
+
+
+def test_oracle_shares_nothing_with_the_fast_counter(monkeypatch, wutm):
+    # The ground truth must not go through the counter it checks, nor through run.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached a fast path")
+
+    for target in (
+        "tmdyn.words._count_words",
+        "tmdyn.words._id_table",
+        "tmdyn.machine._id_table",
+        "tmdyn.machine.run",
+    ):
+        monkeypatch.setattr(target, forbidden)
+    for (mode, initial_only), expected in _ORACLE_VALUES["wutm_6_2"].items():
+        m = wutm.with_halting_mode(mode)
+        ns = range(1, len(expected) + 1)
+        assert tuple(count_words_oracle(m, n, initial_only=initial_only) for n in ns) == expected
 
 
 def test_restart_mode_changes_halting_traces(single_halt):
