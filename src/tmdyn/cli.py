@@ -35,6 +35,7 @@ from .regularity import certificate_to_json_dict, entropy_lower_bound
 from .shift_analysis import ShiftGraph, graph_to_dot, shift_graph, shift_table, shift_table_rows
 from .words import (
     DEFAULT_NODE_BUDGET,
+    ORACLE_CHECKED_N,
     count_words_oracle,
     entropy_estimates,
     report_to_csv,
@@ -84,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", parents=[common, as_json], help="word counts and entropy estimates")
     p.add_argument("--n-max", type=_int_at_least(1), required=True)
-    p.add_argument("--oracle", action="store_true", help="check rows n <= 4 against the brute-force oracle")
+    oracle_help = f"check rows n <= {ORACLE_CHECKED_N} against the brute-force oracle"
+    p.add_argument("--oracle", action="store_true", help=oracle_help)
     budget_help = "work units per row; memo hits are free"
     p.add_argument("--node-budget", type=_int_at_least(1), default=DEFAULT_NODE_BUDGET, help=budget_help)
     p.add_argument(
@@ -200,7 +202,7 @@ def cmd_entropy(machine: TuringMachine, source: dict, args) -> int:
         machine, args.n_max, node_budget=args.node_budget, initial_only=args.initial_only
     )
     if args.oracle:
-        for row in report.rows[:4]:  # rows are n = 1, 2, ...
+        for row in report.rows[:ORACLE_CHECKED_N]:  # rows are n = 1, 2, ...
             expected = count_words_oracle(machine, row.n, initial_only=args.initial_only)
             if expected != row.count:
                 print(

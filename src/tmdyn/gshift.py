@@ -47,14 +47,14 @@ class SequenceAlphabet(tuple):
         return frozenset(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ASequence:
     """Sparse bi-infinite sequence over a finite alphabet, filled with its first token.
 
     The alphabet's first token is the default.  Cells holding it are never
     stored, so equality of the dataclass fields is equality of sequences.
-    The constructor canonicalizes and validates, so any ASequence in hand is
-    well formed.  A plain ``alphabet`` is wrapped in a
+    The constructor canonicalizes and validates in one pass, so any ASequence
+    in hand is well formed.  A plain ``alphabet`` is wrapped in a
     :class:`SequenceAlphabet`; a shared one is kept, so each sequence of a
     replay costs O(its cells), independent of |states| + |alphabet|.
     """
@@ -62,19 +62,19 @@ class ASequence:
     alphabet: tuple[Token, ...]
     cells: dict[int, Token]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.alphabet, SequenceAlphabet):
-            object.__setattr__(self, "alphabet", SequenceAlphabet(self.alphabet))
-        if not self.alphabet:
+    def __init__(self, alphabet: tuple[Token, ...], cells: Mapping[int, Token]) -> None:
+        if not isinstance(alphabet, SequenceAlphabet):
+            alphabet = SequenceAlphabet(alphabet)
+        if not alphabet:
             raise ValueError("the alphabet must not be empty")
-        known, default = self.alphabet.members, self.alphabet[0]
+        known, default = alphabet.members, alphabet[0]
         clean = {}
-        for i, v in self.cells.items():
+        for i, v in cells.items():
             if v not in known:
                 raise ValueError(f"cell {i} holds {v!r}, which is not in the alphabet")
             if v != default:
                 clean[i] = v
-        object.__setattr__(self, "cells", clean)
+        vars(self).update(alphabet=alphabet, cells=clean)
 
     @property
     def default(self) -> Token:
@@ -114,8 +114,8 @@ def gshift_step(shift: GeneralizedShift, seq: ASequence) -> ASequence:
     The shift is the left shift raised to the window's amount F: result cell
     i holds what the substituted sequence held at cell i + F.
     """
-    r = shift.radius
-    replacement, amount = shift.apply_window(seq.window(-r, r))
+    r, get, default = shift.radius, seq.cells.get, seq.alphabet[0]
+    replacement, amount = shift.apply_window(tuple([get(i, default) for i in range(-r, r + 1)]))
     cells = dict(seq.cells)
     cells.update(zip(range(-r, r + 1), replacement))  # the constructor drops defaults
     if amount != 0:
@@ -186,9 +186,9 @@ def compile_gshift(machine: TuringMachine) -> GeneralizedShift:
     """
     rules: dict[Window, tuple[Window, int]] = {}
     for q in machine.states:
+        row = [(right, machine.transition(q, right)) for right in machine.alphabet]
         for left in machine.alphabet:
-            for right in machine.alphabet:
-                tr = machine.transition(q, right)
+            for right, tr in row:
                 q2, w = tr.next_state, tr.write
                 if tr.move == 1:
                     replacement: Window = (left, w, q2)
@@ -218,32 +218,34 @@ def verify_conjugacy(machine: TuringMachine, samples: int = 1000, seed: int = 0)
     """Replay random configurations through both routes and compare cell by cell.
 
     For each sample the check is: compiled shift applied to the embedding
-    equals the embedding of the machine step.  Failures are counted, not
-    raised; the first failing configuration is reported for debugging.  The
-    sequence alphabet is built once per replay and shared by every sequence,
-    so a sample costs O(its cells), independent of |states| + |alphabet|.
+    equals the embedding of the machine step.  Failures are counted per draw,
+    not raised; the first failing draw is reported for debugging.  Both routes
+    are pure, so a configuration drawn again within one call reuses its
+    verdict.  Sequences share one alphabet, so a sample costs O(its cells).
     """
     shift = compile_gshift(machine)
     alphabet = sequence_alphabet(machine)
     rng = random.Random(seed)
-    failures = 0
-    first = None
+    choice, randrange, symbols, blank = rng.choice, rng.randrange, machine.alphabet, machine.blank
+    verdicts: dict[tuple, bool] = {}  # (state, *tape items) -> both routes agree
+    failures, first = 0, None
     for _ in range(samples):
-        state = rng.choice(machine.states)
-        width = rng.randint(0, 6)
-        offset = rng.randint(-4, 2)
+        state = choice(machine.states)
+        width = randrange(0, 7)  # randint(0, 6), which the random docs define as this call
+        offset = randrange(-4, 3)
         tape = {}
         for i in range(width):
-            s = rng.choice(machine.alphabet)
-            if s != machine.blank:
+            s = choice(symbols)
+            if s != blank:
                 tape[offset + i] = s
-        config = Configuration(state, tape)
-        via_shift = gshift_step(shift, _embed(alphabet, config))
-        via_machine = _embed(alphabet, step(machine, config))
-        if via_shift != via_machine:
+        key = (state, *tape.items())  # cells go in left to right, so equal tapes give equal keys
+        if key not in verdicts:
+            config = Configuration(state, tape)
+            verdicts[key] = gshift_step(shift, _embed(alphabet, config)) == _embed(alphabet, step(machine, config))
+        if not verdicts[key]:
             failures += 1
             if first is None:
-                first = config
+                first = Configuration(state, tape)
     return ConjugacyReport(samples, failures, seed, first)
 
 

@@ -159,14 +159,14 @@ class TuringMachine:
                 raise MachineValidationError(
                     f"rule for ({q.name}, {s.name}) references an unknown state or symbol"
                 )
+        # transition()'s table, halting row included: not a field, so eq and repr skip it; replace() rebuilds it.
+        target = self.halting if self.halting_mode == "fixpoint" else self.initial
+        halting_row = {(self.halting, s): Transition(target, s, MOVE_NONE) for s in self.alphabet}
+        object.__setattr__(self, "_table", {**self.rules, **halting_row})
 
     def transition(self, state: State, symbol: Symbol) -> Transition:
         """Table lookup, extended to the halting state by ``halting_mode``."""
-        if state == self.halting:
-            if self.halting_mode == "fixpoint":
-                return Transition(self.halting, symbol, MOVE_NONE)
-            return Transition(self.initial, symbol, MOVE_NONE)
-        return self.rules[(state, symbol)]
+        return self._table[(state, symbol)]
 
     def non_halting_states(self) -> tuple[State, ...]:
         return tuple(q for q in self.states if q != self.halting)

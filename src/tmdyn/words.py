@@ -36,6 +36,7 @@ TraceWord = tuple[tuple[State, Symbol], ...]
 
 DEFAULT_NODE_BUDGET = 10**8
 ORACLE_MAX_N = 5  # the largest n count_words_oracle accepts
+ORACLE_CHECKED_N = 4  # entropy --oracle checks the rows n <= this
 
 
 def count_words_oracle(machine: TuringMachine, n: int, *, initial_only: bool = False) -> int:

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from tmdyn import builtin_machine, parse_machine, random_machine
+from tmdyn import builtin_machine, compile_gshift, gshift_step, parse_machine, random_machine, step
+from tmdyn.gshift import GeneralizedShift, _embed, sequence_alphabet
 from tmdyn.machine import Configuration, State, Symbol, TuringMachine
 from tmdyn.words import TraceWord
 
@@ -186,3 +187,38 @@ def word_set(machine: TuringMachine, n: int, max_n: int = 4, initial_only: bool 
     for q in starts:
         explore(q, 0, {}, ())
     return traces
+
+
+def replay_conjugacy(
+    machine: TuringMachine, samples: int, seed: int, shift: GeneralizedShift | None = None
+) -> tuple[tuple[int, int, Configuration | None], list[Configuration]]:
+    """A frozen copy of the sampled replay that replays every draw, drawn with ``choice``/``randint``.
+
+    Returns ``(samples, failures, first_counterexample)``, as
+    :func:`verify_conjugacy` reports them, and the drawn configurations in
+    order.  ``shift`` defaults to the machine's compiled shift.
+    """
+    shift = compile_gshift(machine) if shift is None else shift
+    alphabet = sequence_alphabet(machine)
+    rng = random.Random(seed)
+    failures = 0
+    first = None
+    drawn = []
+    for _ in range(samples):
+        state = rng.choice(machine.states)
+        width = rng.randint(0, 6)
+        offset = rng.randint(-4, 2)
+        tape = {}
+        for i in range(width):
+            s = rng.choice(machine.alphabet)
+            if s != machine.blank:
+                tape[offset + i] = s
+        config = Configuration(state, tape)
+        drawn.append(config)
+        via_shift = gshift_step(shift, _embed(alphabet, config))
+        via_machine = _embed(alphabet, step(machine, config))
+        if via_shift != via_machine:
+            failures += 1
+            if first is None:
+                first = config
+    return (samples, failures, first), drawn

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from tmdyn import (
     State,
     Symbol,
     block_encode,
+    builtin_machine,
     cantor_encode,
     cantor_point_of_config,
     compile_gshift,
@@ -24,15 +26,16 @@ from tmdyn import (
     gshift_to_json_dict,
     make_config,
     parse_machine,
+    random_machine,
     step,
     unembed,
     verify_conjugacy,
 )
 from tmdyn.corpus import UTM_6_4_TEXT
 from tmdyn.gshift import sequence_alphabet
-from tmdyn.machine import Configuration
+from tmdyn.machine import HALTING_MODES, Configuration
 
-from conftest import machine_configs
+from conftest import machine_configs, replay_conjugacy
 
 
 # --- compilation -----------------------------------------------------------------
@@ -242,6 +245,87 @@ def test_conjugacy_detects_corruption(utm, monkeypatch):
     assert report.first_counterexample == make_config(utm, u2, "b d c", 0)
 
 
+def _report_tuple(report):
+    return report.samples, report.failures, report.first_counterexample
+
+
+def _corrupted(machine, rng):
+    """The compiled shift with one window's amount off by one; the window sits on the image."""
+    shift = compile_gshift(machine)
+    window = (rng.choice(machine.alphabet), rng.choice(machine.states), rng.choice(machine.alphabet))
+    replacement, amount = shift.apply_window(window)
+    return GeneralizedShift(1, {**shift.rules, window: (replacement, amount + 1)})
+
+
+def test_conjugacy_equals_the_frozen_replay(monkeypatch):
+    # Corpus machines and 200 seeded random machines, both halting modes,
+    # with the compiled shift and with a corrupted one, over several seeds.
+    cases = [(builtin_machine(name), seed, 300) for name in ("utm_6_4", "wutm_6_2") for seed in (0, 3, 7)]
+    cases += [(random_machine(random.Random(s), 4, 3, halt_prob=0.3), s, 60) for s in range(200)]
+    failing = 0
+    for machine, seed, samples in cases:
+        for mode in HALTING_MODES:
+            m = machine.with_halting_mode(mode)
+            for shift in (compile_gshift(m), _corrupted(m, random.Random(seed))):
+                monkeypatch.setattr(tmdyn.gshift, "compile_gshift", lambda machine, shift=shift: shift)
+                expected, _ = replay_conjugacy(m, samples, seed, shift)
+                assert _report_tuple(verify_conjugacy(m, samples, seed)) == expected, (seed, mode)
+                failing += expected[1] > 0
+    assert failing > 200  # the corrupted shifts are caught, so first counterexamples are compared
+
+
+def test_conjugacy_counts_every_draw_of_a_repeated_counterexample(right_runner, monkeypatch):
+    q, zero, one = right_runner.initial, right_runner.blank, right_runner.symbol_named("1")
+    shift = compile_gshift(right_runner)
+    corrupted = GeneralizedShift(1, {**shift.rules, (zero, q, zero): ((zero, one, q), 1)})  # writes 1, not 0
+    monkeypatch.setattr(tmdyn.gshift, "compile_gshift", lambda machine: corrupted)
+    expected, drawn = replay_conjugacy(right_runner, 400, 9, corrupted)
+    failing = [x for x in drawn if x.state == q and 0 not in x.tape and -1 not in x.tape]
+    distinct = {tuple(sorted(x.tape.items())) for x in failing}
+    assert expected[1] == len(failing) > len(distinct)  # failing configurations are drawn again
+    report = verify_conjugacy(right_runner, 400, 9)
+    assert _report_tuple(report) == expected
+    assert report.first_counterexample == failing[0]
+
+
+def test_conjugacy_replays_each_configuration_drawn_by_choice_and_randint_once(wutm, monkeypatch):
+    replayed = []
+
+    def recording_step(machine, config):
+        replayed.append(config)
+        return step(machine, config)
+
+    monkeypatch.setattr(tmdyn.gshift, "step", recording_step)
+    report = verify_conjugacy(wutm, 500, 11)
+    _, drawn = replay_conjugacy(wutm, 500, 11)
+    keys = list(dict.fromkeys((x.state, tuple(x.tape.items())) for x in drawn))
+    assert [(x.state, tuple(x.tape.items())) for x in replayed] == keys
+    assert report.samples == len(drawn) == 500 > len(keys)
+
+
+def test_gshift_step_is_copy_update_reindex():
+    # The definition: copy the cells, write the replacement at [-r, r], then
+    # result cell i holds what the substituted sequence held at i + amount.
+    rng = random.Random(4)
+    alphabet = ("_", "a", "b")
+    for _ in range(300):
+        r = rng.randint(1, 3)
+        windows = list(itertools.product(alphabet, repeat=2 * r + 1))
+        rules = {
+            w: (tuple(rng.choice(alphabet) for _ in w), rng.randint(-r, r))
+            for w in windows
+            if rng.random() < 0.5
+        }
+        shift = GeneralizedShift(r, rules)
+        seq = ASequence(alphabet, {i: rng.choice(alphabet) for i in range(-r - 3, r + 4) if rng.random() < 0.6})
+        window = seq.window(-r, r)
+        replacement, amount = rules.get(window, (window, 0))
+        cells = {i: seq.at(i) for i in range(-r - 4, r + 5)}
+        cells.update(zip(range(-r, r + 1), replacement))
+        expected = ASequence(alphabet, {i - amount: v for i, v in cells.items()})
+        assert gshift_step(shift, seq) == expected
+
+
 @given(machine_configs())
 @settings(max_examples=80)
 def test_conjugacy_pointwise_and_forward_invariance(mc):
@@ -355,3 +439,8 @@ def test_asequence_canonicalization(utm):
         ASequence(alphabet, {0: "zzz"})
     with pytest.raises(ValueError, match="must not be empty"):
         ASequence((), {})
+    # Fields, repr and keyword construction are the dataclass's.
+    plain = ASequence(alphabet=("_", "a"), cells={0: "_", 2: "a"})
+    assert repr(plain) == "ASequence(alphabet=('_', 'a'), cells={2: 'a'})"
+    assert [f.name for f in dataclasses.fields(plain)] == ["alphabet", "cells"]
+    assert dataclasses.replace(plain, cells={1: "a", 3: "_"}) == ASequence(("_", "a"), {1: "a"})

@@ -326,6 +326,25 @@ def test_halting_restart_changes_only_state(utm):
     assert y.tape == x.tape
 
 
+def test_halting_transitions_follow_mode_and_replace(utm):
+    # The halting row is built once per machine; every way to a new machine rebuilds it.
+    u3 = utm.state_named("u3")
+    restart = utm.with_halting_mode("restart")
+    for m, target in (
+        (utm, utm.halting),
+        (restart, utm.initial),
+        (restart.with_halting_mode("fixpoint"), utm.halting),
+        (dataclasses.replace(restart, initial=u3), u3),
+    ):
+        assert [m.transition(m.halting, s) for s in m.alphabet] == [Transition(target, s, 0) for s in m.alphabet]
+    assert restart.with_halting_mode("fixpoint") == utm
+    assert [f.name for f in dataclasses.fields(utm)] == [
+        "states", "alphabet", "blank", "initial", "halting", "rules", "halting_mode",
+    ]
+    assert repr(utm) == repr(parse_machine(UTM_6_4_TEXT))
+    assert "_table" not in repr(utm)
+
+
 # --- runs ---------------------------------------------------------------------
 
 

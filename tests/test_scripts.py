@@ -1,3 +1,6 @@
+import ast
+import importlib
+import inspect
 import re
 import runpy
 import sys
@@ -7,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 ANALYZE_CORPUS = ROOT / "scripts" / "analyze_corpus.py"
+PERFBENCH_RUN = ROOT / "perfbench" / "run.py"
 
 
 def run_analyze_corpus(monkeypatch, *argv):
@@ -34,3 +38,21 @@ def test_readme_library_tour_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (tour,) = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
     exec(compile(tour, "README.md", "exec"), {})
+
+
+def test_every_traced_benchmark_layer_names_a_tmdyn_function():
+    # The benchmark traces "module.function" names of public tmdyn functions;
+    # a rename in the library must not silently leave a layer metric at zero.
+    # The file is parsed, not imported, so nothing under perfbench/ is written.
+    tree = ast.parse(PERFBENCH_RUN.read_text(encoding="utf-8"))
+    (node,) = [
+        n for n in tree.body
+        if isinstance(n, ast.Assign) and [getattr(t, "id", None) for t in n.targets] == ["LAYER_FUNCTIONS"]
+    ]
+    names = ast.literal_eval(node.value)
+    assert names
+    for name in names:
+        module, function = name.split(".")
+        fn = getattr(importlib.import_module(f"tmdyn.{module}"), function, None)
+        assert inspect.isfunction(fn) and (fn.__module__, fn.__name__) == (f"tmdyn.{module}", function), name
+        assert not function.startswith("_") and not inspect.isgeneratorfunction(fn), name
