@@ -3,8 +3,9 @@
 Machines come either from the built-in corpus (``--machine NAME``) or from a
 description file (``--file PATH``).  Reports are deterministic for fixed
 inputs, flags and seed: no timestamps, stable key order, seeds echoed back.
-Exit codes: 0 success, 1 analysis failure (oracle mismatch, conjugacy
-failure, exhausted budget), 2 usage or machine-format errors.
+A command writes its whole output, then returns None or why it failed (oracle
+mismatch, conjugacy failure, exhausted budget or cap); ``main`` alone prints
+that as one ``error:`` line and exits 1, or 2 on usage or machine-format errors.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _load_machine(args) -> tuple[TuringMachine, dict]:
         text = corpus_text(args.machine)
         source = {"name": args.machine}
     else:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = Path(args.file).read_text(encoding="utf-8-sig")  # a leading BOM is not text
         source = {"file": args.file}
     source["sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     # graph takes no --halting-mode: a shift graph never steps from the halting state.
@@ -160,6 +161,12 @@ def _conjugacy_json(report: ConjugacyReport) -> dict:
     }
 
 
+def _conjugacy_failure(report: ConjugacyReport) -> str | None:
+    if report.failures:
+        return f"conjugacy check failed on {report.failures} of {report.samples} samples (seed {report.seed})"
+    return None
+
+
 def _dump(data: dict, path=None) -> None:
     if path:
         Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
@@ -167,7 +174,7 @@ def _dump(data: dict, path=None) -> None:
         print(json.dumps(data, indent=2))
 
 
-def cmd_analyze(machine: TuringMachine, source: dict, args) -> int:
+def cmd_analyze(machine: TuringMachine, source: dict, args) -> str | None:
     table = shift_table(machine)
     words = None if args.n_max is None else entropy_estimates(machine, args.n_max)
     certificate = entropy_lower_bound(machine) if words is None else words.certificate
@@ -188,39 +195,31 @@ def cmd_analyze(machine: TuringMachine, source: dict, args) -> int:
         report["word_counts"] = report_to_json_dict(words)
     _dump(report, args.out)
     if words is not None and words.budget_error:
-        raise BudgetExceededError(words.budget_error)  # after the report; main exits 1
-    return 1 if conj.failures else 0
+        return words.budget_error
+    return _conjugacy_failure(conj)
 
 
-def cmd_graph(machine: TuringMachine, source: dict, args) -> int:
+def cmd_graph(machine: TuringMachine, source: dict, args) -> None:
     sys.stdout.write(graph_to_dot(shift_graph(shift_table(machine), int(args.eps))))
-    return 0
 
 
-def cmd_entropy(machine: TuringMachine, source: dict, args) -> int:
+def cmd_entropy(machine: TuringMachine, source: dict, args) -> str | None:
     report = entropy_estimates(
         machine, args.n_max, node_budget=args.node_budget, initial_only=args.initial_only
     )
-    if args.oracle:
-        for row in report.rows[:ORACLE_CHECKED_N]:  # rows are n = 1, 2, ...
-            expected = count_words_oracle(machine, row.n, initial_only=args.initial_only)
-            if expected != row.count:
-                print(
-                    f"error: oracle mismatch at n={row.n}: "
-                    f"count_words={row.count}, oracle={expected}",
-                    file=sys.stderr,
-                )
-                return 1
     if args.json:
         _dump(report_to_json_dict(report))
     else:
         sys.stdout.write(report_to_csv(report))
-    if report.budget_error:
-        raise BudgetExceededError(report.budget_error)
-    return 0
+    if args.oracle:
+        for row in report.rows[:ORACLE_CHECKED_N]:  # rows are n = 1, 2, ...
+            expected = count_words_oracle(machine, row.n, initial_only=args.initial_only)
+            if expected != row.count:
+                return f"oracle mismatch at n={row.n}: count_words={row.count}, oracle={expected}"
+    return report.budget_error
 
 
-def cmd_simulate(machine: TuringMachine, source: dict, args) -> int:
+def cmd_simulate(machine: TuringMachine, source: dict, args) -> None:
     state = machine.state_named(args.state) if args.state else machine.initial
     config = make_config(machine, state, args.tape, args.offset)
     if args.trace:
@@ -246,7 +245,7 @@ def cmd_simulate(machine: TuringMachine, source: dict, args) -> int:
                 "halting_time": result.halting_time,
             }
         )
-        return 0
+        return
     if args.trace:
         for i, c in enumerate(trail):
             print(f"{i:4d}  {format_config(machine, c)}")
@@ -258,13 +257,12 @@ def cmd_simulate(machine: TuringMachine, source: dict, args) -> int:
         print(f"halted at time {result.halting_time}")
     else:
         print(f"did not halt within {args.steps} steps")
-    return 0
 
 
-def cmd_gshift(machine: TuringMachine, source: dict, args) -> int:
+def cmd_gshift(machine: TuringMachine, source: dict, args) -> str | None:
     if args.dump:
         _dump(gshift_to_json_dict(compile_gshift(machine)))
-        return 0
+        return None
     report = verify_conjugacy(machine, samples=args.verify, seed=args.seed)
     if args.json:
         _dump(_conjugacy_json(report))
@@ -272,7 +270,7 @@ def cmd_gshift(machine: TuringMachine, source: dict, args) -> int:
         print(f"conjugacy check: {report.passes}/{report.samples} passed (seed {report.seed})")
         if report.first_counterexample is not None:
             print(f"first counterexample: {format_config(machine, report.first_counterexample)}")
-    return 1 if report.failures else 0
+    return _conjugacy_failure(report)
 
 
 _COMMANDS = {
@@ -294,13 +292,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     try:
         machine, source = _load_machine(args)
-        return _COMMANDS[args.command](machine, args=args, source=source)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        failure, code = _COMMANDS[args.command](machine, args=args, source=source), 1
+    except BudgetExceededError as exc:  # a cap hit before there was a report
+        failure, code = exc, 1
     except (MachineError, OSError, UnicodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        failure, code = exc, 2
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+    return 0 if failure is None else code
 
 
 def entry() -> None:

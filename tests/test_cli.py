@@ -1,10 +1,12 @@
 import argparse
+import ast
 import collections
 import contextlib
 import functools
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -608,17 +610,14 @@ def test_readme_flag_table_matches_the_parser():
     assert rows == {command: _accepted_flags(command) for command in cli._COMMANDS}
 
 
-def test_entropy_oracle_mismatch_is_analysis_failure(capsys, monkeypatch):
+def _corrupt_oracle(monkeypatch):
     real = cli.count_words_oracle
     monkeypatch.setattr(
         cli, "count_words_oracle", lambda m, n, **kw: real(m, n, **kw) + (n == 2)
     )
-    code, out, err = run_cli(capsys, "entropy", "--machine", "utm_6_4", "--n-max", "3", "--oracle")
-    assert (code, out) == (1, "")
-    assert err == "error: oracle mismatch at n=2: count_words=97, oracle=98\n"
 
 
-def test_gshift_conjugacy_failure_is_analysis_failure(capsys, monkeypatch):
+def _corrupt_gshift(monkeypatch):
     real = gshift.compile_gshift
 
     def corrupted(m):  # one wrong replacement, as in test_conjugacy_detects_corruption
@@ -626,9 +625,22 @@ def test_gshift_conjugacy_failure_is_analysis_failure(capsys, monkeypatch):
         return gshift.GeneralizedShift(1, {**real(m).rules, (g, u2, b): ((b, b, u2), 1)})
 
     monkeypatch.setattr(gshift, "compile_gshift", corrupted)
+
+
+def test_entropy_oracle_mismatch_is_analysis_failure(capsys, monkeypatch):
+    argv = ["entropy", "--machine", "utm_6_4", "--n-max", "3", "--oracle"]
+    _, report, _ = run_cli(capsys, *argv)
+    _corrupt_oracle(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, report)  # the whole report, then the mismatch
+    assert err == "error: oracle mismatch at n=2: count_words=97, oracle=98\n"
+
+
+def test_gshift_conjugacy_failure_is_analysis_failure(capsys, monkeypatch):
+    _corrupt_gshift(monkeypatch)
     argv = ["gshift", "--machine", "utm_6_4", "--verify", "300", "--seed", "3"]
     code, out, err = run_cli(capsys, *argv)
-    assert (code, err) == (1, "")
+    assert (code, err) == (1, "error: conjugacy check failed on 4 of 300 samples (seed 3)\n")
     assert out.splitlines() == [
         "conjugacy check: 296/300 passed (seed 3)",
         "first counterexample: u2 | …g g g . b d c g…",
@@ -636,6 +648,135 @@ def test_gshift_conjugacy_failure_is_analysis_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 1
     assert json.loads(out) == {"samples": 300, "passes": 296, "failures": 4, "seed": 3}
+
+
+def _csv_rows(out):
+    header, *rows = out.splitlines()
+    assert header == "n,count,e_n,min_e_n"
+    return rows
+
+
+def _small_analyze_budget(monkeypatch):
+    monkeypatch.setattr(
+        cli, "entropy_estimates", functools.partial(cli.entropy_estimates, node_budget=300)
+    )
+
+
+_CONJUGACY_FAILED = "conjugacy check failed on 4 of 300 samples (seed 3)"
+_UTM_ORACLE = ["entropy", "--machine", "utm_6_4", "--n-max", "3", "--oracle"]
+_ANALYSIS_FAILURES = {
+    # name: (argv, corruption, the error after "error: ", check of the full stdout)
+    "analyze-conjugacy": (
+        ["analyze", "--machine", "utm_6_4", "--conjugacy-samples", "300", "--seed", "3"],
+        _corrupt_gshift,
+        _CONJUGACY_FAILED,
+        lambda out: json.loads(out)["conjugacy"] == {"samples": 300, "passes": 296, "failures": 4, "seed": 3},
+    ),
+    "gshift-text": (
+        ["gshift", "--machine", "utm_6_4", "--verify", "300", "--seed", "3"],
+        _corrupt_gshift,
+        _CONJUGACY_FAILED,
+        lambda out: out.startswith("conjugacy check: 296/300 passed (seed 3)\nfirst counterexample: "),
+    ),
+    "gshift-json": (
+        ["gshift", "--machine", "utm_6_4", "--verify", "300", "--seed", "3", "--json"],
+        _corrupt_gshift,
+        _CONJUGACY_FAILED,
+        lambda out: json.loads(out)["failures"] == 4,
+    ),
+    "entropy-oracle-csv": (
+        _UTM_ORACLE,
+        _corrupt_oracle,
+        "oracle mismatch at n=2: count_words=97, oracle=98",
+        lambda out: len(_csv_rows(out)) == 3,
+    ),
+    "entropy-oracle-json": (
+        [*_UTM_ORACLE, "--json"],
+        _corrupt_oracle,
+        "oracle mismatch at n=2: count_words=97, oracle=98",
+        lambda out: [r["count"] for r in json.loads(out)["rows"]] == [28, 97, 283],
+    ),
+    "entropy-budget": (
+        ["entropy", "--machine", "utm_6_4", "--n-max", "6", "--node-budget", "300"],
+        None,
+        "word enumeration for n=5 exceeded the node budget of 300",
+        lambda out: len(_csv_rows(out)) == 4,
+    ),
+    "analyze-budget": (
+        ["analyze", "--machine", "utm_6_4", "--n-max", "6"],
+        _small_analyze_budget,
+        "exceeded the node budget of 300",
+        lambda out: "node budget of 300" in json.loads(out)["word_counts"]["budget_error"],
+    ),
+    "analyze-alphabet-cap": (["analyze", "--file", "{wide}"], None, "cap 16", lambda out: out == ""),
+}
+
+
+@pytest.mark.parametrize("case", list(_ANALYSIS_FAILURES))
+def test_each_analysis_failure_prints_its_output_then_one_error_line(
+    capsys, monkeypatch, machine_files, case
+):
+    argv, corrupt, reason, full_output = _ANALYSIS_FAILURES[case]
+    if corrupt is not None:
+        corrupt(monkeypatch)
+    code, out, err = run_cli(capsys, *(arg.format(**machine_files) for arg in argv))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert reason in err and "Traceback" not in err
+    assert full_output(out)
+
+
+def test_only_main_writes_to_stderr():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (main_def,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    in_main = {id(n) for n in ast.walk(main_def)}
+    uses = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == "stderr"
+        and isinstance(n.value, ast.Name) and n.value.id == "sys"
+    ]
+    assert uses and all(id(n) in in_main for n in uses)
+
+
+def test_machine_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    path = tmp_path / "wutm_bom.tm"
+    path.write_bytes(b"\xef\xbb\xbf" + corpus_text("wutm_6_2").encode("utf-8"))
+    for command in (["graph", "--eps", "+1"], ["graph", "--eps", "-1"], ["entropy", "--n-max", "8"]):
+        assert run_cli(capsys, *command, "--file", str(path)) == run_cli(
+            capsys, *command, "--machine", "wutm_6_2"
+        )
+
+
+def test_simulate_trace_agrees_with_run(capsys, halter_file):
+    sources = [(["--machine", name], corpus_text(name)) for name in corpus_names()]
+    sources.append((["--file", halter_file], HALTER_TEXT))
+    sources = [(flags, machine.parse_machine(text)) for flags, text in sources]
+    rng = random.Random(2024)
+    halted = set()
+    for _ in range(240):
+        source, m = rng.choice(sources)
+        tape = " ".join(rng.choice(m.alphabet).name for _ in range(rng.randint(0, 8)))
+        argv = [
+            "simulate", *source, "--json",
+            "--halting-mode", rng.choice(machine.HALTING_MODES),
+            "--state", rng.choice(m.states).name,
+            "--tape", tape,
+            "--offset", str(rng.randint(-4, 4)),
+            "--steps", str(rng.randint(0, 60)),
+        ]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        ran = json.loads(out)
+        code, out, err = run_cli(capsys, *argv, "--trace")
+        assert (code, err) == (0, ""), argv
+        traced = json.loads(out)
+        keys = ("initial", "final", "steps_taken", "halted", "halting_time")
+        assert {k: traced[k] for k in keys} == {k: ran[k] for k in keys}, argv
+        assert ran["trace"] is None
+        assert len(traced["trace"]) == traced["steps_taken"] + 1, argv
+        assert (traced["trace"][0], traced["trace"][-1]) == (traced["initial"], traced["final"]), argv
+        halted.add(ran["halted"])
+    assert halted == {True, False}
 
 
 def _run_module(*argv, env=()):

@@ -3,10 +3,13 @@ import importlib
 import inspect
 import re
 import runpy
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
+
+from tmdyn.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 ANALYZE_CORPUS = ROOT / "scripts" / "analyze_corpus.py"
@@ -38,6 +41,20 @@ def test_readme_library_tour_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (tour,) = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
     exec(compile(tour, "README.md", "exec"), {})
+
+
+def test_readme_shell_examples_run(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = [
+        shlex.split(line, comments=True)
+        for block in re.findall(r"^```sh\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+        for line in block.splitlines()
+        if line.startswith("tmdyn ")
+    ]
+    assert len(commands) >= 6
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        assert capsys.readouterr().err == "", argv
 
 
 def test_every_traced_benchmark_layer_names_a_tmdyn_function():
