@@ -14,6 +14,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -293,6 +294,8 @@ def main(argv=None) -> int:
     try:
         machine, source = _load_machine(args)
         failure, code = _COMMANDS[args.command](machine, args=args, source=source), 1
+    except BrokenPipeError:  # the reader closed stdout: nothing is left to tell it
+        return 1
     except BudgetExceededError as exc:  # a cap hit before there was a report
         failure, code = exc, 1
     except (MachineError, OSError, UnicodeError) as exc:
@@ -303,7 +306,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # the flush at exit would fail again and print "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -77,17 +77,19 @@ def count_words(
     The lazy search branches only at the first read of a cell and records the
     symbol just read, so sibling subtrees differ at that position and
     distinct start states differ at position 0: leaves and traces correspond
-    one to one, and no trace is stored.  With m reads left the head stays
-    within m - 1 cells, so the leaves below a first read depend only on the
-    state, m and the tape window of radius m - 1 around the head, unvisited
-    cells included as such.  Those counts are memoised (each entry holds
-    O(n) cells); the deterministic steps between first reads are followed in
-    a loop over one mutable tape, and an explicit stack replaces recursion.
+    one to one, and no trace is stored.  With r reads left the head stays
+    within r - 1 cells, so the leaves below a first read at h depend only on
+    the state, r and the tape window h - (r-1) .. h + (r-1), unvisited cells
+    included as such.  Only the last read, which takes no step, can reach
+    the window's two end cells: one leaf if the cell was seen, one per symbol
+    if not.  So the memo key stores a seen end cell as symbol 0.  Entries
+    hold O(n) cells; an explicit stack replaces recursion.
 
     Raises :class:`BudgetExceededError` when memo misses, deterministic steps
     and leaves together exceed ``node_budget``; there is no silent truncation.
-    Memo hits are free.  :func:`entropy_estimates` gives this budget to each
-    of its rows, which share one memo.
+    Memo hits are free.  The steps between two first reads are charged at
+    once, in the same units, so a count raises exactly when they exceed the
+    budget.  :func:`entropy_estimates` gives the budget to each of its rows.
     """
     memo: list[dict[bytes, int]] = [{} for _ in machine.states]
     return _count_words(machine, n, node_budget, initial_only, _id_table(machine), memo)
@@ -96,75 +98,64 @@ def count_words(
 def _count_words(machine: TuringMachine, n: int, node_budget: int, initial_only: bool, table, memo) -> int:
     """:func:`count_words` on the id ``table`` of ``machine``, reading and filling ``memo``.
 
-    A key's length fixes the reads left, so entries hold for every n and one
-    memo may serve several calls on the same machine and halting mode.
+    A key's length fixes the reads left, so one memo may serve every n on the
+    same machine and halting mode.  Each first read snapshots the tape while
+    its cell is unseen and restores it before each symbol it tries.  A walk
+    is charged, and the budget tested, once, when it ends.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     k = len(machine.alphabet)
     unseen = k  # the marker of a cell the search has not read yet
     # The head starts at cell n - 1 and never leaves cells 0..2n-2.
-    tape = array("B" if k < 256 else "I", [unseen]) * (2 * n - 1)
-    remaining = node_budget
-
-    over_budget = f"word enumeration for n={n} exceeded the node budget of {node_budget}"
+    blank = array("B" if k < 256 else "I", [unseen]) * (2 * n - 1)
+    tape = blank[:]
 
     starts = (machine.initial,) if initial_only else machine.states
+    remaining = node_budget - len(starts)  # the misses of the start frames
     result = 0
     for start in starts:
-        remaining -= 1
-        if remaining < 0:
-            raise BudgetExceededError(over_budget)
         # The frame of a first read: state, head, reads left, its memo key,
-        # next symbol to assign, leaves so far, and the writes made since the
-        # assignment, undone before the next symbol is tried.
-        state, head, reads, key = start.id, n - 1, n, tape.tobytes()
-        sym, total, undo = 0, 0, []
+        # next symbol to assign, leaves so far, and the tape before its read.
+        state, head, reads, key, sym, total, saved = start.id, n - 1, n, blank.tobytes(), 0, 0, blank
         parents = []
         while True:
-            for cell, old in reversed(undo):
-                tape[cell] = old
-            undo.clear()
             if sym == k:
-                tape[head] = unseen
                 memo[state][key] = total
                 if not parents:
-                    result += total
                     break
                 below = total
-                state, head, reads, key, sym, total, undo = parents.pop()
+                state, head, reads, key, sym, total, saved = parents.pop()
                 total += below
                 continue
+            tape[:] = saved
             tape[head] = sym
             sym += 1
             # Follow the deterministic steps up to a leaf or the next first read.
             q, h, r = state, head, reads
-            while True:
-                remaining -= 1
-                if remaining < 0:
-                    raise BudgetExceededError(over_budget)
-                r -= 1
-                read = tape[h]
-                if not r:
-                    total += 1
-                    break
-                q, write, move = table[q][read]
-                if write != read:
-                    undo.append((h, read))
-                    tape[h] = write
+            while r := r - 1:
+                q, tape[h], move = table[q][tape[h]]
                 h += move
                 if tape[h] == unseen:
-                    window = tape[h - r + 1 : h + r].tobytes()
-                    hit = memo[q].get(window)
-                    if hit is not None:
-                        total += hit
-                        break
-                    remaining -= 1
-                    if remaining < 0:
-                        raise BudgetExceededError(over_budget)
-                    parents.append((state, head, reads, key, sym, total, undo))
-                    state, head, reads, key, sym, total, undo = q, h, r, window, 0, 0, []
                     break
+            hit = 1  # a leaf
+            if r:
+                window = tape[h - r + 1 : h + r]
+                if window[0] != unseen:  # a seen end cell is keyed as 0
+                    window[0] = 0
+                if window[-1] != unseen:
+                    window[-1] = 0
+                window = window.tobytes()
+                hit = memo[q].get(window)
+            remaining -= reads - r + (hit is None)
+            if remaining < 0:
+                raise BudgetExceededError(f"word enumeration for n={n} exceeded the node budget of {node_budget}")
+            if hit is None:
+                parents.append((state, head, reads, key, sym, total, saved))
+                state, head, reads, key, sym, total, saved = q, h, r, window, 0, 0, tape[:]
+            else:
+                total += hit
+        result += total
     return result
 
 

@@ -779,13 +779,16 @@ def test_simulate_trace_agrees_with_run(capsys, halter_file):
     assert halted == {True, False}
 
 
-def _run_module(*argv, env=()):
-    """``python -m tmdyn.cli ...`` in a child process, as the console script runs it."""
+def _module_argv_env(argv, env=()):
+    """``python -m tmdyn.cli ...``, as the console script runs it, and its environment."""
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run(
-        [sys.executable, "-m", "tmdyn.cli", *argv], capture_output=True, text=True, env=env, timeout=60
-    )
+    return [sys.executable, "-m", "tmdyn.cli", *argv], env
+
+
+def _run_module(*argv, env=()):
+    args, env = _module_argv_env(argv, env)
+    done = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -795,6 +798,44 @@ def test_console_entry_point_exits_with_mains_code(capsys):
     code, out, err = _run_module(*argv, "--seed", "1")
     assert (code, out) == (2, "")
     assert err.startswith("usage: tmdyn") and err.count("error:") == 1 and "Traceback" not in err
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_1_quietly():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_ClosedPipe()), contextlib.redirect_stderr(err):
+        code = main(["entropy", "--machine", "utm_6_4", "--n-max", "3", "--json"])
+    assert (code, err.getvalue()) == (1, "")
+
+
+def test_reader_that_closes_the_pipe_early_ends_the_command_quietly():
+    # The trace is megabytes, far more than a pipe buffer, so writing it fails;
+    # a buffered stdout then still holds output for the flush at exit.
+    args, env = _module_argv_env(["simulate", "--machine", "utm_6_4", "--steps", "2000", "--trace"])
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert child.stdout.readline().split()[:2] == [b"0", b"u1"]
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=60), err) == (1, b"")
+
+
+def test_reader_gone_before_a_short_output_is_flushed_ends_the_command_quietly():
+    # A short report is still buffered when main returns; the console entry
+    # flushes it, and the flush at exit must not print "Exception ignored".
+    args, env = _module_argv_env(["entropy", "--machine", "utm_6_4", "--n-max", "3", "--json"])
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(args, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_stdout_that_cannot_encode_the_output_is_usage_error():

@@ -123,6 +123,33 @@ def test_oracle_frozen_values_equal_count_words_on_corpus(name, mode, initial_on
     assert tuple(count_words(machine, n, initial_only=initial_only) for n in ns) == expected
 
 
+# Deep counts c(n), far beyond the golden files, frozen from the counter that
+# keyed every window cell by its symbol: a key that drops information a
+# subtree needs would show here first, as reads left grow.
+_DEEP_VALUES = {
+    ("utm_6_4", 16): {
+        ("fixpoint", False): 195239611,
+        ("fixpoint", True): 74561254,
+        ("restart", False): 229170736,
+        ("restart", True): 74581861,
+    },
+    ("wutm_6_2", 32): {
+        ("fixpoint", False): 41437398,
+        ("fixpoint", True): 10696666,
+        ("restart", False): 48062673,
+        ("restart", True): 10696666,
+    },
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(_DEEP_VALUES))
+@pytest.mark.parametrize("mode", HALTING_MODES)
+@pytest.mark.parametrize("initial_only", [False, True])
+def test_deep_frozen_counts_on_corpus(name, n, mode, initial_only):
+    machine = builtin_machine(name).with_halting_mode(mode)
+    assert count_words(machine, n, initial_only=initial_only) == _DEEP_VALUES[name, n][mode, initial_only]
+
+
 def test_oracle_equals_count_words_on_seeded_random_machines():
     for seed in range(60):
         machine = random_machine(random.Random(seed), 4, 3, halt_prob=0.3)
@@ -285,14 +312,14 @@ def test_estimate_budget_applies_per_row(utm, wutm):
 
 
 def test_estimate_budget_error_names_first_unfinished_row(utm):
-    # count_words(utm, n) needs 326 units for n = 4 and fewer below it; row 5
+    # count_words(utm, n) needs 273 units for n = 4 and fewer below it; row 5
     # needs more than that even with the memo of rows 1..4.
-    report = entropy_estimates(utm, 8, node_budget=326)
+    report = entropy_estimates(utm, 8, node_budget=273)
     assert report.rows == entropy_estimates(utm, 4).rows
-    assert report.budget_error == "word enumeration for n=5 exceeded the node budget of 326"
-    assert count_words(utm, 4, node_budget=326) == report.rows[-1].count
+    assert report.budget_error == "word enumeration for n=5 exceeded the node budget of 273"
+    assert count_words(utm, 4, node_budget=273) == report.rows[-1].count
     with pytest.raises(BudgetExceededError):
-        count_words(utm, 4, node_budget=325)
+        count_words(utm, 4, node_budget=272)
 
 
 def test_csv_report(utm):
