@@ -18,6 +18,7 @@ from tmdyn import (
     check_strong_regularity,
     corpus_names,
     entropy_estimates,
+    report_to_json_dict,
     shift_graph,
     shift_table,
     verify_conjugacy,
@@ -72,7 +73,7 @@ def describe(name: str, n_max: int, samples: int, seed: int) -> None:
     for row in report.rows:
         print(f"  {row.n:3d} {row.count:10d}   {row.estimate:.6f}")
     if bound is not None and report.rows:
-        upper = min(row.estimate for row in report.rows)
+        upper = report_to_json_dict(report)["rows"][-1]["min_e_n"]
         print(f"entropy bracket: {bound:.6f} <= h <= {upper:.6f} (log 2 = {math.log(2):.6f})")
 
     conj = verify_conjugacy(machine, samples=samples, seed=seed)

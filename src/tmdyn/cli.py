@@ -3,9 +3,10 @@
 Machines come either from the built-in corpus (``--machine NAME``) or from a
 description file (``--file PATH``).  Reports are deterministic for fixed
 inputs, flags and seed: no timestamps, stable key order, seeds echoed back.
-A command writes its whole output, then returns None or why it failed (oracle
-mismatch, conjugacy failure, exhausted budget or cap); ``main`` alone prints
-that as one ``error:`` line and exits 1, or 2 on usage or machine-format errors.
+A command returns its whole output and None or why it failed (oracle mismatch,
+conjugacy failure, exhausted budget or cap); ``main`` alone writes both, the
+output to stdout and a failure as one ``error:`` line on stderr, and exits 1,
+or 2 on usage or machine-format errors or a closed stdout.
 """
 
 from __future__ import annotations
@@ -168,14 +169,11 @@ def _conjugacy_failure(report: ConjugacyReport) -> str | None:
     return None
 
 
-def _dump(data: dict, path=None) -> None:
-    if path:
-        Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-    else:
-        print(json.dumps(data, indent=2))
+def _json(data: dict) -> str:
+    return json.dumps(data, indent=2) + "\n"
 
 
-def cmd_analyze(machine: TuringMachine, source: dict, args) -> str | None:
+def cmd_analyze(machine: TuringMachine, source: dict, args) -> tuple[str, str | None]:
     table = shift_table(machine)
     words = None if args.n_max is None else entropy_estimates(machine, args.n_max)
     certificate = entropy_lower_bound(machine) if words is None else words.certificate
@@ -194,84 +192,78 @@ def cmd_analyze(machine: TuringMachine, source: dict, args) -> str | None:
     }
     if words is not None:
         report["word_counts"] = report_to_json_dict(words)
-    _dump(report, args.out)
-    if words is not None and words.budget_error:
-        return words.budget_error
-    return _conjugacy_failure(conj)
+    text = _json(report)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+        text = ""
+    return text, (words.budget_error if words is not None else None) or _conjugacy_failure(conj)
 
 
-def cmd_graph(machine: TuringMachine, source: dict, args) -> None:
-    sys.stdout.write(graph_to_dot(shift_graph(shift_table(machine), int(args.eps))))
+def cmd_graph(machine: TuringMachine, source: dict, args) -> tuple[str, None]:
+    return graph_to_dot(shift_graph(shift_table(machine), int(args.eps))), None
 
 
-def cmd_entropy(machine: TuringMachine, source: dict, args) -> str | None:
+def cmd_entropy(machine: TuringMachine, source: dict, args) -> tuple[str, str | None]:
     report = entropy_estimates(
         machine, args.n_max, node_budget=args.node_budget, initial_only=args.initial_only
     )
-    if args.json:
-        _dump(report_to_json_dict(report))
-    else:
-        sys.stdout.write(report_to_csv(report))
+    text = _json(report_to_json_dict(report)) if args.json else report_to_csv(report)
     if args.oracle:
         for row in report.rows[:ORACLE_CHECKED_N]:  # rows are n = 1, 2, ...
             expected = count_words_oracle(machine, row.n, initial_only=args.initial_only)
             if expected != row.count:
-                return f"oracle mismatch at n={row.n}: count_words={row.count}, oracle={expected}"
-    return report.budget_error
+                return text, f"oracle mismatch at n={row.n}: count_words={row.count}, oracle={expected}"
+    return text, report.budget_error
 
 
-def cmd_simulate(machine: TuringMachine, source: dict, args) -> None:
+def cmd_simulate(machine: TuringMachine, source: dict, args) -> tuple[str, None]:
     state = machine.state_named(args.state) if args.state else machine.initial
     config = make_config(machine, state, args.tape, args.offset)
-    if args.trace:
-        # One pass that keeps every configuration; without --trace only run's final one.
-        trail = []
-        for c in iterate(machine, config, args.steps):
-            trail.append(c)
-            if c.state == machine.halting:
-                break
-        result = RunResult(trail[-1].state == machine.halting, len(trail) - 1, trail[-1])
-    else:
-        result = run(machine, config, args.steps)
-    if args.json:
-        def config_json(c):
+    def render(c):
+        if args.json:
             return {"state": c.state.name, "tape": {str(i): s.name for i, s in sorted(c.tape.items())}}
-        _dump(
+        return format_config(machine, c)
+    # The configurations shown, keyed by time and kept only as rendered.
+    if args.trace:  # one pass over the orbit
+        shown = {}
+        for final in iterate(machine, config, args.steps):
+            shown[len(shown)] = render(final)
+            if final.state == machine.halting:
+                break
+        result = RunResult(final.state == machine.halting, len(shown) - 1, final)
+    else:  # run keeps only the final configuration: the initial one if no step was taken
+        result = run(machine, config, args.steps)
+        shown = {0: render(config), result.steps_taken: render(result.final)}
+    if args.json:
+        return _json(
             {
-                "initial": config_json(config),
-                "trace": [config_json(c) for c in trail] if args.trace else None,
-                "final": config_json(result.final),
+                "initial": shown[0],
+                "trace": list(shown.values()) if args.trace else None,
+                "final": shown[result.steps_taken],
                 "steps_taken": result.steps_taken,
                 "halted": result.halted,
                 "halting_time": result.halting_time,
             }
-        )
-        return
-    if args.trace:
-        for i, c in enumerate(trail):
-            print(f"{i:4d}  {format_config(machine, c)}")
-    else:
-        print(f"{0:4d}  {format_config(machine, config)}")
-        if result.steps_taken:
-            print(f"{result.steps_taken:4d}  {format_config(machine, result.final)}")
+        ), None
+    lines = [f"{i:4d}  {c}\n" for i, c in shown.items()]
     if result.halted:
-        print(f"halted at time {result.halting_time}")
+        lines.append(f"halted at time {result.halting_time}\n")
     else:
-        print(f"did not halt within {args.steps} steps")
+        lines.append(f"did not halt within {args.steps} steps\n")
+    return "".join(lines), None
 
 
-def cmd_gshift(machine: TuringMachine, source: dict, args) -> str | None:
+def cmd_gshift(machine: TuringMachine, source: dict, args) -> tuple[str, str | None]:
     if args.dump:
-        _dump(gshift_to_json_dict(compile_gshift(machine)))
-        return None
+        return _json(gshift_to_json_dict(compile_gshift(machine))), None
     report = verify_conjugacy(machine, samples=args.verify, seed=args.seed)
     if args.json:
-        _dump(_conjugacy_json(report))
+        text = _json(_conjugacy_json(report))
     else:
-        print(f"conjugacy check: {report.passes}/{report.samples} passed (seed {report.seed})")
+        text = f"conjugacy check: {report.passes}/{report.samples} passed (seed {report.seed})\n"
         if report.first_counterexample is not None:
-            print(f"first counterexample: {format_config(machine, report.first_counterexample)}")
-    return _conjugacy_failure(report)
+            text += f"first counterexample: {format_config(machine, report.first_counterexample)}\n"
+    return text, _conjugacy_failure(report)
 
 
 _COMMANDS = {
@@ -291,13 +283,18 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
+    code = 1
     try:
         machine, source = _load_machine(args)
-        failure, code = _COMMANDS[args.command](machine, args=args, source=source), 1
+        text, failure = _COMMANDS[args.command](machine, source, args)
+        if text:  # an empty one is never written, so analyze --out runs without a stdout
+            if sys.stdout is None:  # closed by the shell (>&-)
+                raise OSError("standard output is closed")
+            sys.stdout.write(text)
     except BrokenPipeError:  # the reader closed stdout: nothing is left to tell it
         return 1
     except BudgetExceededError as exc:  # a cap hit before there was a report
-        failure, code = exc, 1
+        failure = exc
     except (MachineError, OSError, UnicodeError) as exc:
         failure, code = exc, 2
     if failure is not None:
@@ -308,7 +305,8 @@ def main(argv=None) -> int:
 def entry() -> None:
     code = main()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except BrokenPipeError:  # the flush at exit would fail again and print "Exception ignored"
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1

@@ -204,6 +204,7 @@ def entropy_estimates(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    certificate = entropy_lower_bound(machine)  # raises over the alphabet cap before any counting
     table, memo = _id_table(machine), [{} for _ in machine.states]
     rows = []
     budget_error = None
@@ -214,7 +215,7 @@ def entropy_estimates(
             budget_error = str(exc)
             break
         rows.append(WordCountRow(n, count))
-    return WordCountReport(tuple(rows), entropy_lower_bound(machine), budget_error)
+    return WordCountReport(tuple(rows), certificate, budget_error)
 
 
 def report_to_csv(report: WordCountReport) -> str:

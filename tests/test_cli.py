@@ -728,14 +728,26 @@ def test_each_analysis_failure_prints_its_output_then_one_error_line(
 
 def test_only_main_writes_to_stderr():
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    (main_def,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
-    in_main = {id(n) for n in ast.walk(main_def)}
-    uses = [
-        n for n in ast.walk(tree)
-        if isinstance(n, ast.Attribute) and n.attr == "stderr"
-        and isinstance(n.value, ast.Name) and n.value.id == "sys"
-    ]
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    in_main = {id(n) for n in ast.walk(defs["main"])}
+    in_main_or_entry = in_main | {id(n) for n in ast.walk(defs["entry"])}
+
+    def sys_uses(attr):
+        return [
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == attr
+            and isinstance(n.value, ast.Name) and n.value.id == "sys"
+        ]
+
+    uses = sys_uses("stderr")
     assert uses and all(id(n) in in_main for n in uses)
+    # Commands return their output, so only main and entry print or touch stdout.
+    prints = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "print"
+    ]
+    stdout = sys_uses("stdout")
+    assert prints and stdout and all(id(n) in in_main_or_entry for n in prints + stdout)
 
 
 def test_machine_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
@@ -844,3 +856,42 @@ def test_stdout_that_cannot_encode_the_output_is_usage_error():
     code, _, err = _run_module(*argv, env={"PYTHONIOENCODING": "ascii"})
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def _run_module_without_stdout(*argv):
+    """``_run_module`` with file descriptor 1 closed, as the shell's ``>&-`` leaves it."""
+    args, env = _module_argv_env(argv)
+    done = subprocess.run(
+        args, stderr=subprocess.PIPE, text=True, env=env, timeout=60, preexec_fn=lambda: os.close(1)
+    )
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--machine", "utm_6_4", "--n-max", "3"],
+        ["graph", "--machine", "wutm_6_2", "--eps", "+1"],
+        ["analyze", "--machine", "wutm_6_2", "--conjugacy-samples", "5"],
+        ["simulate", "--machine", "utm_6_4", "--steps", "3"],
+        ["gshift", "--machine", "utm_6_4", "--verify", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_shell_closed_stdout_is_usage_error(argv):
+    assert _run_module_without_stdout(*argv) == (2, "error: standard output is closed\n")
+
+
+def test_analyze_out_needs_no_stdout(capsys, tmp_path):
+    argv = ["analyze", "--machine", "wutm_6_2", "--conjugacy-samples", "5"]
+    path = tmp_path / "report.json"
+    assert _run_module_without_stdout(*argv, "--out", str(path)) == (0, "")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and path.read_bytes() == out.encode("utf-8")
+
+
+def test_main_without_a_stdout_is_usage_error():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(None), contextlib.redirect_stderr(err):
+        code = main(["graph", "--machine", "wutm_6_2", "--eps", "+1"])
+    assert (code, err.getvalue()) == (2, "error: standard output is closed\n")

@@ -29,6 +29,16 @@ def test_analyze_corpus_prints_both_certificates(capsys, monkeypatch):
     assert out.count("conjugacy check: 50/50 passed") == 2
 
 
+def test_analyze_corpus_bracket_ends_at_the_smallest_estimate(capsys, monkeypatch):
+    run_analyze_corpus(monkeypatch, "--n-max", "5", "--samples", "1")
+    out = capsys.readouterr().out
+    brackets = re.findall(r"^entropy bracket: (\S+) <= h <= (\S+) ", out, re.MULTILINE)
+    assert brackets == [("0.693147", "1.563364"), ("0.231049", "0.943700")]
+    tables = re.findall(r"^    n +count +e_n\n((?:  .*\n)+)", out, re.MULTILINE)
+    smallest = [min(float(line.split()[2]) for line in table.splitlines()) for table in tables]
+    assert [f"{e:.6f}" for e in smallest] == [upper for _, upper in brackets]
+
+
 @pytest.mark.parametrize("flag", ["--n-max", "--samples"])
 def test_analyze_corpus_rejects_counts_below_one(capsys, monkeypatch, flag):
     with pytest.raises(SystemExit) as exc:

@@ -18,10 +18,11 @@ from tmdyn import (
     report_to_csv,
     report_to_json_dict,
 )
-from tmdyn.machine import HALTING_MODES
+from tmdyn import words
+from tmdyn.machine import HALTING_MODES, parse_machine
 from tmdyn.regularity import STRONGLY_REGULAR
 
-from conftest import machines, word_set
+from conftest import machines, wide_machine_text, word_set
 
 
 def test_length_one_words_are_all_pairs(utm, wutm):
@@ -260,6 +261,15 @@ def test_entropy_estimates_budget_error(utm):
     report = entropy_estimates(utm, 3, node_budget=10)
     assert report.rows == ()
     assert report.budget_error is not None
+
+
+def test_alphabet_over_the_cap_raises_before_any_count(monkeypatch):
+    def count(*args):
+        raise AssertionError("counted words on a machine the certificate search refuses")
+
+    monkeypatch.setattr(words, "_count_words", count)
+    with pytest.raises(BudgetExceededError, match="alphabet size 17 exceeds the search cap 16"):
+        entropy_estimates(parse_machine(wide_machine_text(17)), 8)
 
 
 def _assert_rows_equal_independent_counts(machine, n_max):
