@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -170,7 +171,91 @@ def _conjugacy_failure(report: ConjugacyReport) -> str | None:
 
 
 def _json(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """``json.dumps(data, indent=2) + "\\n"`` byte for byte, built on stdlib's C encoders.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder; this one writes
+    strings and long flat containers in C and the indented structure in Python.
+    """
+    parts = []
+    _encode(data, 0, parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+# A container of more than this many scalars is encoded by one call to the C
+# encoder, which is built afresh on each call: below it, that set-up costs more
+# than the Python loop.  Encoding per benchmark round at cut-off 0/4/8/16
+# (Python 3.11, 2 CPUs): survey-random, whose rows hold 3-8 keys,
+# 13.9/9.6/8.2/8.5 ms; simulate-long, whose tapes hold hundreds to thousands
+# of cells, 1.1 ms at each.
+_FLAT_CUTOFF = 8
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _encode(o, depth: int, parts: list) -> None:
+    if isinstance(o, (list, tuple)):
+        brackets, values = "[]", o
+    elif isinstance(o, dict):
+        brackets, values = "{}", o.values()
+    else:
+        parts.append(_scalar(o))
+        return
+    if not o:
+        parts.append(brackets)
+        return
+    depth += 1
+    pad = "\n" + "  " * depth
+    if len(o) > _FLAT_CUTOFF and not any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values))):
+        # The compact text with the indent as item separator lacks only the
+        # breaks after the opening and before the closing bracket.  Splicing
+        # them in by position is safe: ensure_ascii output holds no raw newline.
+        text = _flat_encoder(depth)(o)
+        parts += (brackets[0], pad, text[1:-1], pad[:-2], brackets[1])
+        return
+    parts.append(brackets[0])
+    sep = pad
+    # Two loops, as a shared one costs a sixth more time on reports of small dicts.
+    if values is o:
+        for value in o:
+            parts.append(sep)
+            sep = "," + pad
+            if isinstance(value, str):
+                parts.append(encode_basestring_ascii(value))
+            else:
+                _encode(value, depth, parts)
+    else:
+        for key, value in o.items():
+            parts.append(sep)
+            sep = "," + pad
+            # A key that is not a str converts as stdlib converts it (cut from the
+            # text of {key: null}), or raises its TypeError.
+            parts.append(encode_basestring_ascii(key) if isinstance(key, str) else json.dumps({key: None})[1:-7])
+            parts.append(": ")
+            if isinstance(value, str):
+                parts.append(encode_basestring_ascii(value))
+            else:
+                _encode(value, depth, parts)
+    parts += (pad[:-2], brackets[1])
+
+
+def _scalar(o) -> str:
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float) and o - o == 0:  # finite: NaN and inf - inf are NaN
+        return float.__repr__(o)
+    return json.dumps(o)  # NaN and +-Infinity as stdlib writes them; its TypeError for the rest
 
 
 def cmd_analyze(machine: TuringMachine, source: dict, args) -> tuple[str, str | None]:

@@ -750,6 +750,105 @@ def test_only_main_writes_to_stderr():
     assert prints and stdout and all(id(n) in in_main_or_entry for n in prints + stdout)
 
 
+_SOURCES = sorted(Path(cli.__file__).parent.glob("*.py"))
+_ENCODER = {"_json", "_flat_encoder", "_encode", "_scalar"}  # the functions of cli's one JSON encoder
+
+
+def test_every_json_report_goes_through_the_one_encoder():
+    writers_seen = []
+    for path in _SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [n for n in ast.walk(tree) if isinstance(n, ast.keyword) and n.arg == "indent"], path
+        writers = [
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in ("dumps", "JSONEncoder")
+            or isinstance(n, ast.Attribute) and n.attr == "dump" and getattr(n.value, "id", None) == "json"
+            or isinstance(n, ast.ImportFrom) and (n.module or "").startswith("json")
+            and {a.name for a in n.names} & {"dump", "dumps", "JSONEncoder"}
+        ]
+        inside = {
+            id(n) for d in tree.body
+            if path.name == "cli.py" and isinstance(d, ast.FunctionDef) and d.name in _ENCODER
+            for n in ast.walk(d)
+        }
+        assert all(id(n) in inside for n in writers), path
+        writers_seen += writers
+    assert writers_seen  # the walk does see the encoder's own calls
+
+
+def test_every_import_is_stdlib_or_tmdyn():
+    for path in _SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "tmdyn" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def _stdlib_json(data):
+    return json.dumps(data, indent=2) + "\n"
+
+
+_json_text = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f é€\U0001d11e') | st.characters())
+_json_scalars = (
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | _json_text
+    | st.floats() | st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")])
+)
+_near_cutoff = {"min_size": cli._FLAT_CUTOFF - 1, "max_size": cli._FLAT_CUTOFF + 2}
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_json_text, children, max_size=4),
+        st.lists(_json_scalars, **_near_cutoff),  # flat, on both sides of the cut-off
+        st.lists(_json_scalars, **_near_cutoff).map(tuple),
+        st.dictionaries(_json_text, _json_scalars, **_near_cutoff),
+    ),
+    max_leaves=80,
+).map(lambda tree: {"a": [tree, {"b": tree}]})  # and at depth 3 or more
+
+
+@given(_json_trees)
+@settings(max_examples=300, deadline=None)
+def test_json_encoder_equals_stdlib_indented_dumps(tree):
+    assert cli._json(tree) == _stdlib_json(tree)
+
+
+@pytest.mark.parametrize("size", [1, cli._FLAT_CUTOFF + 1])
+def test_json_encoder_converts_non_str_keys_as_stdlib(size):
+    keys = [1, -(10**30), 2.5, -0.0, float("nan"), float("inf"), True, False, None, "s"]
+    for key in keys:
+        data = {key: 0, **{f"k{i}": i for i in range(size - 1)}}
+        assert cli._json(data) == _stdlib_json(data)
+        assert cli._json([data]) == _stdlib_json([data])
+
+
+@pytest.mark.parametrize("size", [1, cli._FLAT_CUTOFF + 1])
+@pytest.mark.parametrize("bad", [set(), object(), b"bytes", 1j])
+def test_json_encoder_raises_stdlib_type_error(size, bad):
+    for data in ([bad] * size, {"k": [bad] * size}, {(1, 2): bad, **{f"k{i}": i for i in range(size)}}):
+        with pytest.raises(TypeError) as expected:
+            _stdlib_json(data)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            cli._json(data)
+
+
+def test_long_simulate_trace_json_equals_stdlib(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--machine", "utm_6_4", "--steps", "300", "--trace", "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    # Tapes longer than the cut-off take the C encoder, at depths 2 and 3.
+    assert len(report["final"]["tape"]) > cli._FLAT_CUTOFF
+    assert max(len(c["tape"]) for c in report["trace"]) > cli._FLAT_CUTOFF
+    assert out == _stdlib_json(report)
+
+
 def test_machine_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
     path = tmp_path / "wutm_bom.tm"
     path.write_bytes(b"\xef\xbb\xbf" + corpus_text("wutm_6_2").encode("utf-8"))

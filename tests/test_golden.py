@@ -7,11 +7,12 @@ shared one sequence alphabet).  A faster or simpler implementation must give
 the same bytes; regenerate a file only when an output change is intended.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from tmdyn.cli import main
+from tmdyn.cli import _json, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,3 +47,9 @@ def test_output_matches_golden(capsys, name):
     assert code == 0
     # bytes, not text: the CSV rows end in \r\n, which text mode would translate
     assert out == (GOLDEN / name).read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_golden_json_re_encodes_unchanged(name):
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    assert _json(json.loads(text)) == text
