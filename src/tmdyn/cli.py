@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -119,17 +118,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_machine(args) -> tuple[TuringMachine, dict]:
+# Where a machine came from, ("name", NAME) or ("file", PATH), and its text.
+_Source = tuple[str, str, str]
+
+
+def _load_machine(args) -> tuple[TuringMachine, _Source]:
     if args.machine is not None:
-        text = corpus_text(args.machine)
-        source = {"name": args.machine}
-    else:
-        text = Path(args.file).read_text(encoding="utf-8-sig")  # a leading BOM is not text
-        source = {"file": args.file}
-    source["sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        source = ("name", args.machine, corpus_text(args.machine))
+    else:  # a leading BOM is not text
+        source = ("file", args.file, Path(args.file).read_text(encoding="utf-8-sig"))
     # graph takes no --halting-mode: a shift graph never steps from the halting state.
     mode = {"halting_mode": args.halting_mode} if "halting_mode" in args else {}
-    return parse_machine(text, **mode), source
+    return parse_machine(source[2], **mode), source
 
 
 def _machine_json(machine: TuringMachine, source: dict) -> dict:
@@ -258,14 +258,20 @@ def _scalar(o) -> str:
     return json.dumps(o)  # NaN and +-Infinity as stdlib writes them; its TypeError for the rest
 
 
-def cmd_analyze(machine: TuringMachine, source: dict, args) -> tuple[str, str | None]:
+def cmd_analyze(machine: TuringMachine, source: _Source, args) -> tuple[str, str | None]:
+    # Only analyze shows the hash, so only it loads hashlib (OpenSSL's libcrypto),
+    # before the analysis grows the heap.
+    import hashlib
+
+    kind, origin, machine_text = source
+    source_json = {kind: origin, "sha256": hashlib.sha256(machine_text.encode("utf-8")).hexdigest()}
     table = shift_table(machine)
     words = None if args.n_max is None else entropy_estimates(machine, args.n_max)
     certificate = entropy_lower_bound(machine) if words is None else words.certificate
     conj = verify_conjugacy(machine, samples=args.conjugacy_samples, seed=args.seed)
     report = {
         "tool": {"name": "tmdyn", "version": __version__},
-        "machine": _machine_json(machine, source),
+        "machine": _machine_json(machine, source_json),
         "seed": args.seed,
         "shift_table": shift_table_rows(table),
         "graphs": {
@@ -284,11 +290,11 @@ def cmd_analyze(machine: TuringMachine, source: dict, args) -> tuple[str, str | 
     return text, (words.budget_error if words is not None else None) or _conjugacy_failure(conj)
 
 
-def cmd_graph(machine: TuringMachine, source: dict, args) -> tuple[str, None]:
+def cmd_graph(machine: TuringMachine, source: _Source, args) -> tuple[str, None]:
     return graph_to_dot(shift_graph(shift_table(machine), int(args.eps))), None
 
 
-def cmd_entropy(machine: TuringMachine, source: dict, args) -> tuple[str, str | None]:
+def cmd_entropy(machine: TuringMachine, source: _Source, args) -> tuple[str, str | None]:
     report = entropy_estimates(
         machine, args.n_max, node_budget=args.node_budget, initial_only=args.initial_only
     )
@@ -301,7 +307,7 @@ def cmd_entropy(machine: TuringMachine, source: dict, args) -> tuple[str, str | 
     return text, report.budget_error
 
 
-def cmd_simulate(machine: TuringMachine, source: dict, args) -> tuple[str, None]:
+def cmd_simulate(machine: TuringMachine, source: _Source, args) -> tuple[str, None]:
     state = machine.state_named(args.state) if args.state else machine.initial
     config = make_config(machine, state, args.tape, args.offset)
     def render(c):
@@ -338,7 +344,7 @@ def cmd_simulate(machine: TuringMachine, source: dict, args) -> tuple[str, None]
     return "".join(lines), None
 
 
-def cmd_gshift(machine: TuringMachine, source: dict, args) -> tuple[str, str | None]:
+def cmd_gshift(machine: TuringMachine, source: _Source, args) -> tuple[str, str | None]:
     if args.dump:
         return _json(gshift_to_json_dict(compile_gshift(machine))), None
     report = verify_conjugacy(machine, samples=args.verify, seed=args.seed)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Hashable, Mapping
 
@@ -288,6 +287,8 @@ def cantor_encode(bits: Mapping[int, int]) -> CantorPoint:
     both coordinates have ternary expansions using digits {0, 2} only, which
     makes the coding injective on finitely supported sequences.
     """
+    from fractions import Fraction  # here, not at import: fractions loads decimal
+
     x = Fraction(0)
     y = Fraction(0)
     for i, bit in bits.items():

@@ -22,7 +22,6 @@ import dataclasses
 import threading
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
 MOVE_LEFT = -1
@@ -316,6 +315,8 @@ def distance(x: Configuration, y: Configuration) -> Fraction:
     differ.  Configurations of different machines simply compare unequal cell
     by cell; there is no cross-machine check here.
     """
+    from fractions import Fraction  # here, not at import: fractions loads decimal
+
     if x.state != y.state:
         return Fraction(1)
     if x.tape == y.tape:

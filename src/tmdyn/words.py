@@ -21,7 +21,6 @@ pass ``initial_only=True`` to explore the restriction to the initial state.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import math
@@ -220,6 +219,8 @@ def entropy_estimates(
 
 def report_to_csv(report: WordCountReport) -> str:
     """CSV with columns n, count, e_n, min_e_n (estimates at 20 significant digits)."""
+    import csv  # here, not at import: only CSV output needs it
+
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["n", "count", "e_n", "min_e_n"])

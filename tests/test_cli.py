@@ -3,6 +3,7 @@ import ast
 import collections
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -994,3 +996,97 @@ def test_main_without_a_stdout_is_usage_error():
     with contextlib.redirect_stdout(None), contextlib.redirect_stderr(err):
         code = main(["graph", "--machine", "wutm_6_2", "--eps", "+1"])
     assert (code, err.getvalue()) == (2, "error: standard output is closed\n")
+
+
+# --- start-up: a command loads only the modules it uses ---------------------
+
+# Modules that not every command needs, each loaded only where it is used:
+# hashlib (OpenSSL's libcrypto) by analyze, fractions (and decimal) by the
+# exact metric and Cantor coding, csv by entropy's CSV output.
+_DEFERRED = ("hashlib", "_hashlib", "fractions", "decimal", "csv")
+
+
+def _fresh_python(script):
+    """Run ``script`` in a fresh ``python -S`` with tmdyn on the path; the value it prints."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)
+
+
+def test_import_loads_no_deferred_module():
+    loaded = _fresh_python(
+        "import sys\n"
+        f"before = [m for m in {_DEFERRED!r} if m in sys.modules]\n"
+        "import tmdyn.cli\n"
+        f"print([before, [m for m in {_DEFERRED!r} if m in sys.modules]])\n"
+    )
+    assert loaded == [[], []]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--machine", "utm_6_4", "--n-max", "6", "--json"],
+        ["simulate", "--machine", "utm_6_4", "--steps", "12"],
+        ["graph", "--machine", "wutm_6_2", "--eps", "+1"],
+        ["gshift", "--machine", "wutm_6_2", "--verify", "50", "--seed", "3"],
+        ["analyze", "--machine", "wutm_6_2", "--n-max", "4", "--conjugacy-samples", "20"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_only_analyze_loads_hashlib(capsys, argv):
+    code, out, hashed = _fresh_python(
+        "import contextlib, io, sys\n"
+        "from tmdyn.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = main({argv!r})\n"
+        "print(ascii((code, out.getvalue(), 'hashlib' in sys.modules)))\n"
+    )
+    assert (code, out) == run_cli(capsys, *argv)[:2]
+    assert hashed == (argv[0] == "analyze")
+    if hashed:
+        golden = Path(__file__).parent / "golden" / "analyze_wutm_6_2_fixpoint.json"
+        expected = json.loads(golden.read_text(encoding="utf-8"))["machine"]["sha256"]
+        assert json.loads(out)["machine"]["sha256"] == expected
+
+
+def test_analyze_hashes_the_decoded_text_of_its_file(capsys, monkeypatch, tmp_path):
+    text = corpus_text("wutm_6_2")
+    raw = b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8")
+    path = tmp_path / "wutm_bom_crlf.tm"
+    path.write_bytes(raw)
+    reads = _count_calls(monkeypatch, (Path, "read_text"))
+    code, out, _ = run_cli(capsys, "analyze", "--file", str(path), "--conjugacy-samples", "5")
+    assert (code, reads) == (0, {"read_text": 1})
+    shown = json.loads(out)["machine"]
+    assert list(shown)[:2] == ["file", "sha256"]
+    # The hash is of the text without its BOM and with \n line ends, as the
+    # corpus machine's is; sha256sum of the file's bytes differs.
+    assert shown["sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert shown["sha256"] != hashlib.sha256(raw).hexdigest()
+    code, out, _ = run_cli(capsys, "analyze", "--machine", "wutm_6_2", "--conjugacy-samples", "5")
+    assert json.loads(out)["machine"]["sha256"] == shown["sha256"]
+
+
+def test_exact_rationals_are_fractions_in_a_fresh_interpreter():
+    # fractions is imported by the functions that build a Fraction, not by tmdyn.
+    script = """\
+import sys
+from tmdyn import builtin_machine, cantor_encode, cantor_point_of_config, distance, make_config
+assert "fractions" not in sys.modules
+utm = builtin_machine("utm_6_4")
+u1, u2 = utm.state_named("u1"), utm.state_named("u2")
+a, b = make_config(utm, u1, "b b b b b", -2), make_config(utm, u1, "c b b b b", -2)
+values = [distance(a, a), distance(a, b), distance(a, make_config(utm, u2))]
+for point in (cantor_encode({}), cantor_encode({-2: 1, 0: 1, 3: 1}), cantor_point_of_config(utm, b)):
+    values += (point.x, point.y)
+print([(type(v).__name__, v.numerator, v.denominator) for v in values])
+"""
+    expected = [
+        Fraction(0), Fraction(1, 4), Fraction(1),  # the distances
+        Fraction(0), Fraction(0), Fraction(2, 9), Fraction(56, 81),  # the points
+        Fraction(494, 729), Fraction(9579224, 43046721),
+    ]
+    assert _fresh_python(script) == [("Fraction", v.numerator, v.denominator) for v in expected]
