@@ -38,6 +38,7 @@ from .regularity import certificate_to_json_dict, entropy_lower_bound
 from .shift_analysis import ShiftGraph, graph_to_dot, shift_graph, shift_table, shift_table_rows
 from .words import (
     DEFAULT_NODE_BUDGET,
+    MAX_MEMO_ENTRIES,
     ORACLE_CHECKED_N,
     count_words_oracle,
     entropy_estimates,
@@ -90,7 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_int_at_least(1), required=True)
     oracle_help = f"check rows n <= {ORACLE_CHECKED_N} against the brute-force oracle"
     p.add_argument("--oracle", action="store_true", help=oracle_help)
-    budget_help = "work units per row; memo hits are free"
+    budget_help = (
+        f"work units per row; memo hits are free. The memo stops growing at {MAX_MEMO_ENTRIES}"
+        " entries; past that a row costs more and the budget may end the report sooner"
+    )
     p.add_argument("--node-budget", type=_int_at_least(1), default=DEFAULT_NODE_BUDGET, help=budget_help)
     p.add_argument(
         "--initial-only",
@@ -258,13 +262,24 @@ def _scalar(o) -> str:
     return json.dumps(o)  # NaN and +-Infinity as stdlib writes them; its TypeError for the rest
 
 
-def cmd_analyze(machine: TuringMachine, source: _Source, args) -> tuple[str, str | None]:
-    # Only analyze shows the hash, so only it loads hashlib (OpenSSL's libcrypto),
-    # before the analysis grows the heap.
-    import hashlib
+@functools.cache  # found once: a failed import searches sys.path on every try
+def _sha256():
+    """hashlib's SHA-256 without OpenSSL's libcrypto, from CPython's built-in module as
+    random.py takes it: _sha2 from 3.12, _sha256 before, hashlib on a build without either."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
+
+def cmd_analyze(machine: TuringMachine, source: _Source, args) -> tuple[str, str | None]:
     kind, origin, machine_text = source
-    source_json = {kind: origin, "sha256": hashlib.sha256(machine_text.encode("utf-8")).hexdigest()}
+    # Only analyze shows the hash, so only it loads a SHA-256 module.
+    source_json = {kind: origin, "sha256": _sha256()(machine_text.encode("utf-8")).hexdigest()}
     table = shift_table(machine)
     words = None if args.n_max is None else entropy_estimates(machine, args.n_max)
     certificate = entropy_lower_bound(machine) if words is None else words.certificate

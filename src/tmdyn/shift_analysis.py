@@ -123,11 +123,16 @@ def graph_to_dot(graph: ShiftGraph) -> str:
     name = "right_shifts" if graph.direction == 1 else "left_shifts"
     lines = [f"digraph {name} {{"]
     for v in sorted(graph.vertices, key=lambda q: q.id):
-        lines.append(f'  "{v.name}";')
+        lines.append(f"  {_dot_id(v.name)};")
     for e in sorted(graph.edges, key=lambda e: (e.src.id, e.label.id, e.dst.id)):
-        lines.append(f'  "{e.src.name}" -> "{e.dst.name}" [label="{e.label.name}"];')
+        lines.append(f"  {_dot_id(e.src.name)} -> {_dot_id(e.dst.name)} [label={_dot_id(e.label.name)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_id(name: str) -> str:
+    """``name`` as a quoted dot id, each ``"`` escaped as ``\\"``, the one escape of dot."""
+    return '"' + name.replace('"', '\\"') + '"'
 
 
 def shift_table_rows(table: dict[tuple[State, Symbol], ShiftOutcome]) -> list[dict]:

@@ -34,6 +34,9 @@ from .regularity import EntropyCertificate, certificate_to_json_dict, entropy_lo
 TraceWord = tuple[tuple[State, Symbol], ...]
 
 DEFAULT_NODE_BUDGET = 10**8
+# A report's memo stores no entry past this many: about 1 GB at the 137-165 B an
+# entry measured (utm_6_4 n_max 24, wutm_6_2 n_max 44, Python 3.11).
+MAX_MEMO_ENTRIES = 6_000_000
 ORACLE_MAX_N = 5  # the largest n count_words_oracle accepts
 ORACLE_CHECKED_N = 4  # entropy --oracle checks the rows n <= this
 
@@ -89,6 +92,9 @@ def count_words(
     Memo hits are free.  The steps between two first reads are charged at
     once, in the same units, so a count raises exactly when they exceed the
     budget.  :func:`entropy_estimates` gives the budget to each of its rows.
+    The memo stops growing at :data:`MAX_MEMO_ENTRIES`, so memory is bounded
+    and counts stay exact, but past it a subtree not stored is searched
+    again, the work per n rises, and the budget may raise at a smaller n.
     """
     memo: list[dict[bytes, int]] = [{} for _ in machine.states]
     return _count_words(machine, n, node_budget, initial_only, _id_table(machine), memo)
@@ -98,7 +104,8 @@ def _count_words(machine: TuringMachine, n: int, node_budget: int, initial_only:
     """:func:`count_words` on the id ``table`` of ``machine``, reading and filling ``memo``.
 
     A key's length fixes the reads left, so one memo may serve every n on the
-    same machine and halting mode.  Each first read snapshots the tape while
+    same machine and halting mode; it stores no entry once it holds
+    :data:`MAX_MEMO_ENTRIES`.  Each first read snapshots the tape while
     its cell is unseen and restores it before each symbol it tries.  A walk
     is charged, and the budget tested, once, when it ends.
     """
@@ -112,6 +119,7 @@ def _count_words(machine: TuringMachine, n: int, node_budget: int, initial_only:
 
     starts = (machine.initial,) if initial_only else machine.states
     remaining = node_budget - len(starts)  # the misses of the start frames
+    room = MAX_MEMO_ENTRIES - sum(map(len, memo))
     result = 0
     for start in starts:
         # The frame of a first read: state, head, reads left, its memo key,
@@ -120,7 +128,9 @@ def _count_words(machine: TuringMachine, n: int, node_budget: int, initial_only:
         parents = []
         while True:
             if sym == k:
-                memo[state][key] = total
+                if room > 0:  # a full memo stores nothing more; the count goes on
+                    memo[state][key] = total
+                    room -= 1
                 if not parents:
                     break
                 below = total
@@ -192,10 +202,13 @@ def entropy_estimates(
     """Count words for n = 1..n_max and attach the certified lower bound.
 
     The rows share one memo, so a row reuses the subtree counts of the rows
-    before it.  ``node_budget`` applies to each row, with memo hits free, so
-    no row costs more than :func:`count_words` alone; the first row that runs
-    out ends the report.  Memory grows with the memo entries of all rows
-    (time and peak RSS per n_max: the cost table in README.md).
+    before it.  ``node_budget`` applies to each row, with memo hits free; the
+    first row that runs out ends the report.  Memory grows with the memo
+    entries of all rows (time and peak RSS per n_max: the cost table in
+    README.md) until the memo holds :data:`MAX_MEMO_ENTRIES`.  Below that
+    cap no row costs more than :func:`count_words` alone.  Past it the
+    counts stay exact, but the memo keeps the lower rows' entries, so the
+    work per row rises and the budget may end the report at a smaller n.
 
     With ``initial_only`` the counts cover only orbits started in the initial
     state; that restriction is exploratory and the bracketing guarantee

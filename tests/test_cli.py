@@ -778,7 +778,13 @@ def test_every_json_report_goes_through_the_one_encoder():
     assert writers_seen  # the walk does see the encoder's own calls
 
 
+# CPython 3.12 renamed the built-in SHA-256 module _sha256 to _sha2, and
+# sys.stdlib_module_names lists only the running version's name.
+_RENAMED_STDLIB = {"_sha2": "_sha256", "_sha256": "_sha2"}
+
+
 def test_every_import_is_stdlib_or_tmdyn():
+    assert sum(name in sys.stdlib_module_names for name in _RENAMED_STDLIB) == 1
     for path in _SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -789,7 +795,8 @@ def test_every_import_is_stdlib_or_tmdyn():
                 continue
             for name in names:
                 top = name.partition(".")[0]
-                assert top == "tmdyn" or top in sys.stdlib_module_names, (path.name, name)
+                stdlib = top in sys.stdlib_module_names or _RENAMED_STDLIB.get(top) in sys.stdlib_module_names
+                assert top == "tmdyn" or stdlib, (path.name, name)
 
 
 def _stdlib_json(data):
@@ -1001,9 +1008,14 @@ def test_main_without_a_stdout_is_usage_error():
 # --- start-up: a command loads only the modules it uses ---------------------
 
 # Modules that not every command needs, each loaded only where it is used:
-# hashlib (OpenSSL's libcrypto) by analyze, fractions (and decimal) by the
-# exact metric and Cantor coding, csv by entropy's CSV output.
+# fractions (and decimal) by the exact metric and Cantor coding, csv by
+# entropy's CSV output. hashlib (OpenSSL's libcrypto) is loaded by none:
+# analyze hashes with CPython's built-in SHA-2 module.
 _DEFERRED = ("hashlib", "_hashlib", "fractions", "decimal", "csv")
+
+_GOLDEN_WUTM_SHA256 = json.loads(
+    (Path(__file__).parent / "golden" / "analyze_wutm_6_2_fixpoint.json").read_text(encoding="utf-8")
+)["machine"]["sha256"]
 
 
 def _fresh_python(script):
@@ -1035,21 +1047,34 @@ def test_import_loads_no_deferred_module():
     ],
     ids=lambda argv: argv[0],
 )
-def test_only_analyze_loads_hashlib(capsys, argv):
-    code, out, hashed = _fresh_python(
+def test_no_command_loads_hashlib(capsys, argv):
+    code, out, loaded = _fresh_python(
         "import contextlib, io, sys\n"
         "from tmdyn.cli import main\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         f"    code = main({argv!r})\n"
-        "print(ascii((code, out.getvalue(), 'hashlib' in sys.modules)))\n"
+        "print(ascii((code, out.getvalue(), [m for m in ('hashlib', '_hashlib') if m in sys.modules])))\n"
     )
     assert (code, out) == run_cli(capsys, *argv)[:2]
-    assert hashed == (argv[0] == "analyze")
-    if hashed:
-        golden = Path(__file__).parent / "golden" / "analyze_wutm_6_2_fixpoint.json"
-        expected = json.loads(golden.read_text(encoding="utf-8"))["machine"]["sha256"]
-        assert json.loads(out)["machine"]["sha256"] == expected
+    assert loaded == []
+    if argv[0] == "analyze":
+        assert json.loads(out)["machine"]["sha256"] == _GOLDEN_WUTM_SHA256
+
+
+def test_analyze_hashes_through_hashlib_without_the_builtin_sha2():
+    # A build without CPython's built-in SHA-2 module (_sha2 from 3.12, _sha256
+    # before) falls back to hashlib, with the same digest.
+    sha, loaded = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None  # importing either now fails\n"
+        "from tmdyn.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert main(['analyze', '--machine', 'wutm_6_2', '--conjugacy-samples', '5']) == 0\n"
+        "print(ascii((json.loads(out.getvalue())['machine']['sha256'], 'hashlib' in sys.modules)))\n"
+    )
+    assert (sha, loaded) == (_GOLDEN_WUTM_SHA256, True)
 
 
 def test_analyze_hashes_the_decoded_text_of_its_file(capsys, monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,26 @@ def test_dot_preserves_parallel_edges():
     dot = graph_to_dot(shift_graph(shift_table(m), 1))
     assert '  "q1" -> "q2" [label="a"];' in dot
     assert '  "q1" -> "q2" [label="b"];' in dot
+
+
+def test_dot_escapes_quotes_in_names():
+    # Names are whitespace-separated tokens, so a file may name a state q"0.
+    m = parse_machine(
+        'states: q"0 q2 halt\nalphabet: a "b\nblank: a\ninitial: q"0\nhalting: halt\n'
+        'q"0 a -> q2 a R\nq"0 "b -> q2 "b R\nq2 a -> q2 a N\nq2 "b -> q2 "b N\n'
+    )
+    dot = graph_to_dot(shift_graph(shift_table(m), 1))
+    assert dot == (
+        "digraph right_shifts {\n"
+        '  "q\\"0";\n'
+        '  "q2";\n'
+        '  "q\\"0" -> "q2" [label="a"];\n'
+        '  "q\\"0" -> "q2" [label="\\"b"];\n'
+        "}\n"
+    )
+    # Read back with dot's one escape, every quoted id is a name of the machine.
+    ids = [t.replace('\\"', '"') for t in re.findall(r'"((?:[^"\\]|\\")*)"', dot)]
+    assert set(ids) == {'q"0', "q2", "a", '"b'}
 
 
 # --- consistency with the step semantics ----------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -19,6 +20,7 @@ from tmdyn import (
     report_to_json_dict,
 )
 from tmdyn import words
+from tmdyn.cli import main
 from tmdyn.machine import HALTING_MODES, parse_machine
 from tmdyn.regularity import STRONGLY_REGULAR
 
@@ -371,3 +373,64 @@ def test_count_words_on_alphabets_past_one_byte(n_symbols):
     m = TuringMachine(states, alphabet, alphabet[0], states[0], states[2], rules)
     for n in (1, 2):
         assert count_words(m, n) == len(word_set(m, n))
+
+
+# --- the memo cap: a full memo stores nothing more, and every count stays exact --
+
+
+def _lower_memo_cap(monkeypatch, cap):
+    """Set ``MAX_MEMO_ENTRIES`` to ``cap``; returns the memo size each count left, in order."""
+    monkeypatch.setattr(words, "MAX_MEMO_ENTRIES", cap)
+    sizes = []
+    count = words._count_words
+
+    def recorded(machine, n, node_budget, initial_only, table, memo):
+        try:
+            return count(machine, n, node_budget, initial_only, table, memo)
+        finally:  # a count only adds entries, so its memo is largest when it ends
+            sizes.append(sum(map(len, memo)))
+
+    monkeypatch.setattr(words, "_count_words", recorded)
+    return sizes
+
+
+def _assert_capped_rows_equal_uncapped(monkeypatch, machine, n_max, cap):
+    """Whether the memo filled to ``cap``; every row and count must equal its uncapped value."""
+    expected = {mode: entropy_estimates(machine.with_halting_mode(mode), n_max).rows for mode in HALTING_MODES}
+    with monkeypatch.context() as patch:
+        sizes = _lower_memo_cap(patch, cap)
+        for mode in HALTING_MODES:
+            m = machine.with_halting_mode(mode)
+            assert entropy_estimates(m, n_max).rows == expected[mode], mode
+            assert count_words(m, n_max) == expected[mode][-1].count, mode
+    assert max(sizes) <= cap
+    return max(sizes) == cap
+
+
+@pytest.mark.parametrize("name, n_max", [("utm_6_4", 10), ("wutm_6_2", 16)])
+@pytest.mark.parametrize("cap", [0, 1, 60])
+def test_capped_memo_counts_equal_uncapped_on_corpus(monkeypatch, name, n_max, cap):
+    assert _assert_capped_rows_equal_uncapped(monkeypatch, builtin_machine(name), n_max, cap)
+
+
+def test_capped_memo_counts_equal_uncapped_on_seeded_random_machines(monkeypatch):
+    filled = [
+        _assert_capped_rows_equal_uncapped(monkeypatch, random_machine(random.Random(seed), 4, 3, halt_prob=0.3), 7, 8)
+        for seed in range(60)
+    ]
+    assert all(filled)  # each machine stores more than 8 entries uncapped
+
+
+def test_small_budget_under_low_cap_reports_completed_rows_and_exits_1(monkeypatch, capsys):
+    argv = ["entropy", "--machine", "utm_6_4", "--n-max", "12", "--node-budget", "20000", "--json"]
+    assert main(argv) == 0  # the full memo finishes every row within the budget
+    full = json.loads(capsys.readouterr().out)["rows"]
+    sizes = _lower_memo_cap(monkeypatch, 50)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    k = len(report["rows"]) + 1
+    assert 1 < k <= 12 and report["rows"] == full[: k - 1]
+    assert report["budget_error"] == f"word enumeration for n={k} exceeded the node budget of 20000"
+    assert captured.err == f"error: {report['budget_error']}\n"
+    assert max(sizes) == 50
