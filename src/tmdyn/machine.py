@@ -19,6 +19,7 @@ held weakly, so the table keeps no token nothing references.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import threading
 import weakref
 from dataclasses import dataclass
@@ -270,21 +271,39 @@ def run(machine: TuringMachine, config: Configuration, max_steps: int) -> RunRes
     """Run the one-step map until it halts or has taken ``max_steps`` steps.
 
     Equal to iterated :func:`step`, and tested against it, at O(1) per step
-    plus one final re-index.  The budget is mandatory because halting is
-    undecidable; a run that does not halt comes back with ``halted=False``.
-    A state or tape symbol foreign to ``machine`` raises :class:`MachineError`.
+    plus one final re-index.  A runaway is not stepped: once the state's
+    blank rule keeps the state and moves the head past every stored cell,
+    every read is blank until the budget ends, so the rest of the budget is
+    taken in one move that costs the cells it writes (none for a blank
+    write).  The budget is mandatory because halting is undecidable; a run
+    that does not halt comes back with ``halted=False``.  A state or tape
+    symbol foreign to ``machine`` raises :class:`MachineError`.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     _check_members(machine, config.state, config.tape.values())
     table, blank, halting = _id_table(machine), machine.blank.id, machine.halting.id
+    # away[q]: the move of q's blank rule if that rule keeps q, else 0.
+    away = [row[blank][2] if row[blank][0] == q else 0 for q, row in enumerate(table)]
     state, tape, head, steps = config.state.id, {i: s.id for i, s in config.tape.items()}, 0, 0
+    lo, hi = min(tape, default=0), max(tape, default=0)  # lo <= hi, and every stored cell is in lo..hi
     while state != halting and steps < max_steps:
+        d = away[state]
+        if d and (head > hi if d > 0 else head < lo):  # runaway: every read from here is blank
+            k, write = max_steps - steps, table[state][blank][1]
+            if write != blank:
+                tape.update(zip(range(head, head + k * d, d), itertools.repeat(write, k)))
+            head, steps = head + k * d, max_steps
+            break
         state, write, move = table[state][tape.get(head, blank)]
         if write == blank:
             tape.pop(head, None)
         else:
             tape[head] = write
+            if head < lo:
+                lo = head
+            elif head > hi:
+                hi = head
         head, steps = head + move, steps + 1
     final = Configuration(machine.states[state], {i - head: machine.alphabet[s] for i, s in tape.items()})
     return RunResult(state == halting, steps, final)
@@ -325,9 +344,21 @@ def distance(x: Configuration, y: Configuration) -> Fraction:
     return Fraction(1, 2**disagree)
 
 
+#: format_config names every cell out to one past the farthest stored cell on
+#: both sides of the head, so it refuses a wider span rather than run out of memory.
+MAX_TEXT_CELLS = 10**6
+
+
 def format_config(machine: TuringMachine, config: Configuration) -> str:
-    """Render a configuration as ``state | ... a b . c d ...`` with cell 0 after the dot."""
+    """Render a configuration as ``state | ... a b . c d ...`` with cell 0 after the dot.
+
+    Raises :class:`BudgetExceededError` when the span would exceed :data:`MAX_TEXT_CELLS`.
+    """
     radius = max((abs(i) for i in config.tape), default=0) + 1
+    if 2 * radius + 1 > MAX_TEXT_CELLS:
+        raise BudgetExceededError(
+            f"the text form would span {2 * radius + 1} cells, more than {MAX_TEXT_CELLS}; use --json"
+        )
     names = [config.tape.get(i, machine.blank).name for i in range(-radius, radius + 1)]
     left = " ".join(names[:radius])
     right = " ".join(names[radius:])

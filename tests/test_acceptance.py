@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Every tolerance is exact (integer or rational comparisons) except
-the five wall-clock limits, which are generous.
+the six wall-clock limits, which are generous.
 """
 
 import random
@@ -240,6 +240,7 @@ def test_criterion_11_cantor_coding():
 def test_criterion_12_long_run_costs_constant_time_per_step(utm):
     # From the blank tape utm_6_4 writes b and moves left forever, so after k
     # steps it is in u1 with b on cells 1..k: the tape grows with every step.
+    # run takes this runaway in one move; criterion 15 covers a stepped orbit.
     k = 200_000
     t0 = time.perf_counter()
     result = run(utm, Configuration(utm.initial, {}), k)
@@ -273,3 +274,54 @@ def test_criterion_14_analyze_large_machine(capsys, machine_files):
     capsys.readouterr()
     ok = code == 0 and elapsed < 2.0
     _report(14, f"analyze on the 1500-state cycle exits 0 within 2 s ({elapsed:.2f} s)", ok)
+
+
+SWEEPER_TEXT = """\
+states: r l halt
+alphabet: 0 1
+blank: 0
+initial: r
+halting: halt
+r 1 -> r 1 R
+r 0 -> l 1 L
+l 1 -> l 1 L
+l 0 -> r 1 R
+"""
+
+
+def _sweeper_after(sweeper, k):
+    """The sweeper's configuration k steps from the blank tape, pass by pass.
+
+    It sweeps its block of ones a..b and turns at each end, where it writes a
+    one on the blank cell it finds, so the block grows by one cell a pass.
+    """
+    a, b, head, right = 0, -1, 0, True
+    while True:
+        to_edge = b + 1 - head if right else head - a + 1  # steps over ones before the blank
+        if k <= to_edge:
+            head += k if right else -k
+            break
+        k -= to_edge + 1
+        if right:
+            b, head = b + 1, b
+        else:
+            a, head = a - 1, a
+        right = not right
+    one = sweeper.symbol_named("1")
+    return Configuration(sweeper.state_named("r" if right else "l"), {i - head: one for i in range(a, b + 1)})
+
+
+def test_criterion_15_growing_tape_without_runaway_costs_constant_time_per_step():
+    # Neither of the sweeper's blank rules keeps its state, so run steps every one
+    # of its k steps while the tape grows to about sqrt(2k) cells; re-indexing the
+    # tape on each step would cost about k**1.5 cell moves.
+    sweeper = parse_machine(SWEEPER_TEXT)
+    x = Configuration(sweeper.initial, {})
+    model_ok = all(c == _sweeper_after(sweeper, i) for i, c in enumerate(iterate(sweeper, x, 2000)))
+    k = 1_000_000
+    t0 = time.perf_counter()
+    result = run(sweeper, x, k)
+    elapsed = time.perf_counter() - t0
+    ok = model_ok and not result.halted and result.steps_taken == k and result.final == _sweeper_after(sweeper, k)
+    ok = ok and elapsed < 5.0
+    _report(15, f"a sweeper runs {k} steps, its tape growing, within 5 s ({elapsed:.2f} s)", ok)

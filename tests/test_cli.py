@@ -437,6 +437,33 @@ def test_simulate_zero_steps_echoes(capsys):
     assert "u1" in out
 
 
+def test_simulate_text_refuses_a_span_past_the_cap_and_json_prints_it(capsys):
+    # The text form names every cell out to the farthest stored one, so a tape
+    # that far from the head fails with one error line; --json prints it.
+    far = str(machine.MAX_TEXT_CELLS)
+    argv = ["simulate", "--machine", "utm_6_4", "--tape", "b", "--offset", far, "--steps", "0"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--json" in err
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["final"] == {"state": "u1", "tape": {far: "b"}}
+
+
+def test_simulate_runs_away_a_huge_budget_in_a_fresh_process():
+    # wutm_6_2 leaves this tape in u1, whose blank rule u1 g -> u1 g L repeats, so
+    # run takes the budget in one move; stepping 10**12 times would take days.
+    argv = ["simulate", "--machine", "wutm_6_2", "--tape", "b g b b", "--steps", str(10**12)]
+    code, out, err = _run_module(*argv, "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["steps_taken"], doc["halted"], doc["final"]["state"]) == (10**12, False, "u1")
+    assert min(map(int, doc["final"]["tape"])) > 10**12 - 10
+    code, out, err = _run_module(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_simulate_from_the_halting_state_prints_it_once(capsys):
     argv = ["simulate", "--machine", "utm_6_4", "--state", "halt", "--steps", "5"]
     plain = run_cli(capsys, *argv)

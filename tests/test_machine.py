@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import threading
+import time
 import weakref
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmdyn import (
+    BudgetExceededError,
     MachineError,
     MachineFormatError,
     MachineValidationError,
@@ -25,6 +27,7 @@ from tmdyn import (
     corpus_names,
     corpus_text,
     distance,
+    format_config,
     make_config,
     parse_machine,
     random_machine,
@@ -32,7 +35,7 @@ from tmdyn import (
     step,
 )
 from tmdyn.corpus import UTM_6_4_TEXT
-from tmdyn.machine import HALTING_MODES, Configuration, iterate
+from tmdyn.machine import HALTING_MODES, MAX_TEXT_CELLS, Configuration, iterate
 
 from conftest import machine_configs, machines
 
@@ -403,6 +406,64 @@ def test_run_equals_iterated_step(seed, mode, offset, k, data):
         current = step(machine, current)
         taken += 1
     assert run(machine, x, k) == RunResult(current.state == machine.halting, taken, current)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(HALTING_MODES),
+    move=st.sampled_from((-1, 1)),
+    writes_blank=st.booleans(),
+    offset=st.integers(-10, 10),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_run_skips_a_runaway_exactly(seed, mode, move, writes_blank, offset, data):
+    # State q's blank rule (q, w, move) repeats forever once the head is past every
+    # stored cell in that direction, and run takes the rest of the budget at once.
+    # Every budget is checked up to 40 steps past the first time that holds.
+    base = random_machine(random.Random(seed), halting_mode=mode)
+    q = data.draw(st.sampled_from(base.non_halting_states()))
+    w = base.blank if writes_blank else data.draw(st.sampled_from(base.alphabet[1:]))
+    machine = dataclasses.replace(base, rules={**base.rules, (q, base.blank): Transition(q, w, move)})
+    state = data.draw(st.sampled_from((q, machine.halting) + machine.states))
+    window = data.draw(st.lists(st.sampled_from(machine.alphabet), max_size=6))
+    x = make_config(machine, state, window, offset)
+    orbit, leave = [x], None
+    while orbit[-1].state != machine.halting and len(orbit) <= (60 if leave is None else leave + 40):
+        if leave is None and orbit[-1].state == q and all(i * move < 0 for i in orbit[-1].tape):
+            leave = len(orbit) - 1
+        orbit.append(step(machine, orbit[-1]))
+    for k, current in enumerate(orbit):
+        assert run(machine, x, k) == RunResult(current.state == machine.halting, k, current)
+
+
+def test_run_takes_a_huge_budget_past_a_runaway_exactly(wutm):
+    # From this seeded tape wutm_6_2 leaves its tape to the left in u1, whose blank
+    # rule u1 g -> u1 g L then repeats: the expected configuration is stepped up to
+    # that point and shifted by the rest of the budget.
+    u1, g = wutm.state_named("u1"), wutm.symbol_named("g")
+    assert wutm.rules[(u1, g)] == Transition(u1, g, -1)
+    rng = random.Random(1)
+    x = make_config(wutm, rng.choice(wutm.non_halting_states()), [rng.choice(wutm.alphabet) for _ in range(32)], -16)
+    current, taken = x, 0
+    while not (current.state == u1 and all(i > 0 for i in current.tape)):
+        current, taken = step(wutm, current), taken + 1
+        assert taken < 1000 and current.state != wutm.halting
+    budget = 10**12
+    expected = Configuration(u1, {i + budget - taken: s for i, s in current.tape.items()})
+    t0 = time.perf_counter()
+    result = run(wutm, x, budget)
+    assert time.perf_counter() - t0 < 5.0
+    assert result == RunResult(False, budget, expected)
+
+
+def test_format_config_caps_the_rendered_span(utm):
+    # The rendering spans cells -(r+1)..r+1 for a farthest stored cell at |i| = r.
+    b = utm.symbol_named("b")
+    r = (MAX_TEXT_CELLS - 3) // 2
+    assert format_config(utm, Configuration(utm.initial, {-r: b})).count(" b ") == 1
+    with pytest.raises(BudgetExceededError, match="--json"):
+        format_config(utm, Configuration(utm.initial, {r + 1: b}))
 
 
 # --- metric -------------------------------------------------------------------
