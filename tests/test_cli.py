@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmdyn import cli, corpus_names, gshift, machine, regularity, shift_analysis, words
+import tmdyn
+from tmdyn import cli, corpus, corpus_names, gshift, machine, regularity, shift_analysis, words
 from tmdyn.cli import main
 from tmdyn.corpus import corpus_text
 
@@ -324,8 +325,8 @@ def test_analyze_n_max_rejected_before_analysis(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the analysis ran")
 
-    monkeypatch.setattr(cli, "verify_conjugacy", fail)
-    monkeypatch.setattr(cli, "shift_table_rows", fail)
+    monkeypatch.setattr(gshift, "verify_conjugacy", fail)
+    monkeypatch.setattr(shift_analysis, "shift_table_rows", fail)
     code, out, err = run_cli(capsys, "analyze", "--machine", "utm_6_4", "--n-max", "0")
     assert code == 2
     assert out == ""
@@ -348,12 +349,10 @@ def test_analyze_computes_each_fact_once(capsys, monkeypatch):
     calls = _count_calls(
         monkeypatch,
         (shift_analysis, "shift_table"),
-        (cli, "shift_table"),
         (regularity, "shift_table"),
-        (cli, "shift_graph"),
+        (shift_analysis, "shift_graph"),
         (regularity, "shift_graph"),
-        (cli, "entropy_lower_bound"),
-        (words, "entropy_lower_bound"),
+        (regularity, "entropy_lower_bound"),
         (regularity, "check_regularity"),
     )
     code, _, _ = run_cli(capsys, "analyze", "--machine", "wutm_6_2", "--n-max", "5")
@@ -371,7 +370,7 @@ def test_analyze_computes_each_fact_once(capsys, monkeypatch):
 
 def test_analyze_budget_error_is_analysis_failure(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "entropy_estimates", functools.partial(cli.entropy_estimates, node_budget=10)
+        words, "entropy_estimates", functools.partial(words.entropy_estimates, node_budget=10)
     )
     code, out, err = run_cli(capsys, "analyze", "--machine", "utm_6_4", "--n-max", "3")
     assert code == 1
@@ -462,6 +461,14 @@ def test_simulate_runs_away_a_huge_budget_in_a_fresh_process():
     code, out, err = _run_module(*argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_simulate_refuses_a_runaway_past_the_cell_cap(capsys):
+    # u1 g -> u1 b L stores a cell a step, so this budget would fill 10**9 cells.
+    argv = ["simulate", "--machine", "utm_6_4", "--tape", "b g b b", "--steps", str(10**9)]
+    refused = (1, "", f"error: the runaway would store {10**9 + 1} cells, more than {machine.MAX_RUN_CELLS}\n")
+    assert run_cli(capsys, *argv) == refused
+    assert run_cli(capsys, *argv, "--json") == refused
 
 
 def test_simulate_from_the_halting_state_prints_it_once(capsys):
@@ -603,7 +610,7 @@ def test_every_flag_changes_the_outcome(capsys, halter_file, tmp_path):
 
 
 def test_oracle_flag_runs_the_oracle(capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, (cli, "count_words_oracle"))
+    calls = _count_calls(monkeypatch, (words, "count_words_oracle"))
     argv = ["entropy", "--machine", "utm_6_4", "--n-max", "3"]
     plain = run_cli(capsys, *argv)
     assert calls["count_words_oracle"] == 0
@@ -640,9 +647,9 @@ def test_readme_flag_table_matches_the_parser():
 
 
 def _corrupt_oracle(monkeypatch):
-    real = cli.count_words_oracle
+    real = words.count_words_oracle
     monkeypatch.setattr(
-        cli, "count_words_oracle", lambda m, n, **kw: real(m, n, **kw) + (n == 2)
+        words, "count_words_oracle", lambda m, n, **kw: real(m, n, **kw) + (n == 2)
     )
 
 
@@ -687,7 +694,7 @@ def _csv_rows(out):
 
 def _small_analyze_budget(monkeypatch):
     monkeypatch.setattr(
-        cli, "entropy_estimates", functools.partial(cli.entropy_estimates, node_budget=300)
+        words, "entropy_estimates", functools.partial(words.entropy_estimates, node_budget=300)
     )
 
 
@@ -1053,14 +1060,86 @@ def _fresh_python(script):
     return ast.literal_eval(done.stdout)
 
 
+# The tmdyn modules each command loads, random, which only gshift uses, and
+# typing, which none loads: tmdyn's annotations need it only for type checkers.
+_LOADED = "sorted(m for m in sys.modules if m.partition('.')[0] in ('tmdyn', 'random', 'typing'))"
+_CLI_MODULES = ["tmdyn", "tmdyn.cli", "tmdyn.corpus", "tmdyn.machine"]
+_COMMAND_MODULES = {
+    # every command reads words' constants when the parser is built
+    command: sorted([*_CLI_MODULES, "tmdyn.words", *extra.split()])
+    for command, extra in {
+        "simulate": "",
+        "graph": "tmdyn.shift_analysis",
+        "entropy": "tmdyn.regularity tmdyn.shift_analysis",
+        "gshift": "tmdyn.gshift random",
+        "analyze": "tmdyn.gshift tmdyn.regularity tmdyn.shift_analysis random",
+    }.items()
+}
+
+
 def test_import_loads_no_deferred_module():
     loaded = _fresh_python(
         "import sys\n"
         f"before = [m for m in {_DEFERRED!r} if m in sys.modules]\n"
         "import tmdyn.cli\n"
-        f"print([before, [m for m in {_DEFERRED!r} if m in sys.modules]])\n"
+        f"print([before, [m for m in {_DEFERRED!r} if m in sys.modules], {_LOADED}])\n"
     )
-    assert loaded == [[], []]
+    assert loaded == [[], [], _CLI_MODULES]
+
+
+# tmdyn's exports, by defining module.
+_EXPORTS = {
+    corpus: "builtin_machine corpus_names corpus_text random_machine".split(),
+    gshift: (
+        "ASequence CantorPoint ConjugacyReport GeneralizedShift NotInImageError block_encode cantor_encode"
+        " cantor_point_of_config compile_gshift embed gshift_step gshift_to_json_dict unembed verify_conjugacy"
+    ).split(),
+    machine: (
+        "BudgetExceededError Configuration MachineError MachineFormatError MachineValidationError RunResult"
+        " State Symbol Transition TuringMachine distance format_config iterate make_config parse_machine run step"
+    ).split(),
+    regularity: (
+        "EntropyCertificate RegularWitness StrongWitness certificate_to_json_dict check_regularity"
+        " check_strong_regularity entropy_lower_bound verify_witness"
+    ).split(),
+    shift_analysis: (
+        "HALT PERIODIC SHIFT ShiftEdge ShiftGraph ShiftOutcome classify_shift graph_to_dot shift_graph"
+        " shift_table shift_table_rows"
+    ).split(),
+    words: (
+        "WordCountReport WordCountRow count_words count_words_oracle entropy_estimates report_to_csv"
+        " report_to_json_dict"
+    ).split(),
+}
+
+
+def test_each_export_is_its_modules_object():
+    exported = [name for names in _EXPORTS.values() for name in names]
+    assert len(exported) == 61
+    assert sorted(tmdyn.__all__) == sorted(exported)
+    for module, names in _EXPORTS.items():
+        for name in names:
+            assert getattr(tmdyn, name) is getattr(module, name), name
+            assert name in dir(tmdyn), name
+    star = {}
+    exec("from tmdyn import *", star)
+    del star["__builtins__"]
+    assert star == {name: getattr(module, name) for module, names in _EXPORTS.items() for name in names}
+    with pytest.raises(AttributeError, match="module 'tmdyn' has no attribute 'no_such_name'"):
+        tmdyn.no_such_name
+
+
+def test_an_export_loads_only_its_module():
+    # dir lists every export before any is loaded, and loads none itself.
+    loaded = _fresh_python(
+        "import sys\n"
+        "import tmdyn\n"
+        "unlisted = [name for name in tmdyn.__all__ if name not in dir(tmdyn)]\n"
+        f"before = {_LOADED}\n"
+        "from tmdyn import parse_machine\n"
+        f"print([unlisted, before, {_LOADED}, tmdyn.parse_machine is parse_machine, tmdyn.__version__])\n"
+    )
+    assert loaded == [[], ["tmdyn"], ["tmdyn", "tmdyn.machine"], True, "0.1.0"]
 
 
 @pytest.mark.parametrize(
@@ -1075,16 +1154,17 @@ def test_import_loads_no_deferred_module():
     ids=lambda argv: argv[0],
 )
 def test_no_command_loads_hashlib(capsys, argv):
-    code, out, loaded = _fresh_python(
+    code, out, *loaded = _fresh_python(
         "import contextlib, io, sys\n"
         "from tmdyn.cli import main\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         f"    code = main({argv!r})\n"
-        "print(ascii((code, out.getvalue(), [m for m in ('hashlib', '_hashlib') if m in sys.modules])))\n"
+        "hashlib = [m for m in ('hashlib', '_hashlib') if m in sys.modules]\n"
+        f"print(ascii((code, out.getvalue(), hashlib, {_LOADED})))\n"
     )
     assert (code, out) == run_cli(capsys, *argv)[:2]
-    assert loaded == []
+    assert loaded == [[], _COMMAND_MODULES[argv[0]]]
     if argv[0] == "analyze":
         assert json.loads(out)["machine"]["sha256"] == _GOLDEN_WUTM_SHA256
 

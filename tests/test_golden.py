@@ -3,8 +3,10 @@
 Each file holds the stdout of one command on a corpus machine, as produced
 before the memoised word counter and the single-pass ``simulate`` replaced
 their slower predecessors (the ``gshift`` files: before the conjugacy replay
-shared one sequence alphabet).  A faster or simpler implementation must give
-the same bytes; regenerate a file only when an output change is intended.
+shared one sequence alphabet; the ``help`` files: ``--help`` at 80 columns
+before each command imported its own modules).  A faster or simpler
+implementation must give the same bytes; regenerate a file only when an
+output change is intended.
 """
 
 import json
@@ -38,10 +40,14 @@ for machine in ("utm_6_4", "wutm_6_2"):
         CASES[f"gshift_{machine}_{mode}_dump.json"] = ["gshift", *common, "--dump"]
         CASES[f"gshift_{machine}_{mode}_verify.txt"] = verify
         CASES[f"gshift_{machine}_{mode}_verify.json"] = [*verify, "--json"]
+CASES["help.txt"] = ["--help"]
+for command in ("analyze", "graph", "entropy", "simulate", "gshift"):
+    CASES[f"help_{command}.txt"] = [command, "--help"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden(capsys, name):
+def test_output_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     code = main(CASES[name])
     out = capsys.readouterr().out
     assert code == 0

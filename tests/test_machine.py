@@ -457,6 +457,21 @@ def test_run_takes_a_huge_budget_past_a_runaway_exactly(wutm):
     assert result == RunResult(False, budget, expected)
 
 
+def test_run_caps_the_cells_a_runaway_writes(utm, wutm, monkeypatch):
+    # utm_6_4 leaves "b g b b" in u1, whose blank rule u1 g -> u1 b L stores a cell
+    # a step: 100 steps leave 101 cells, so a cap of 101 takes 100 steps, not 101.
+    x = make_config(utm, utm.initial, "b g b b", 0)
+    expected = run(utm, x, 100)
+    assert len(expected.final.tape) == 101
+    monkeypatch.setattr("tmdyn.machine.MAX_RUN_CELLS", 101)
+    assert run(utm, x, 100) == expected
+    with pytest.raises(BudgetExceededError, match="would store 102 cells, more than 101"):
+        run(utm, x, 101)
+    # A runaway that writes blanks stores nothing, so no cap holds it back.
+    monkeypatch.setattr("tmdyn.machine.MAX_RUN_CELLS", 0)
+    assert run(wutm, make_config(wutm, wutm.initial, "b g b b", 0), 10**12).steps_taken == 10**12
+
+
 def test_format_config_caps_the_rendered_span(utm):
     # The rendering spans cells -(r+1)..r+1 for a farthest stored cell at |i| = r.
     b = utm.symbol_named("b")
