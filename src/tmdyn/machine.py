@@ -419,29 +419,32 @@ def parse_machine(text: str, halting_mode: str = "fixpoint") -> TuringMachine:
     if missing:
         raise MachineFormatError(f"missing header line(s): {', '.join(missing)}")
 
-    state_names, states_line = headers["states"]
-    symbol_names, alpha_line = headers["alphabet"]
-    for names, line, kind in ((state_names, states_line, "state"), (symbol_names, alpha_line, "symbol")):
-        dup = _first_duplicate(names)
-        if dup is not None:
-            raise MachineFormatError(f"duplicate {kind} name {dup!r}", line)
-        if not names:
+    def name_table(key: str, token: type, kind: str) -> dict:
+        names, line = headers[key]
+        table = {}
+        for i, name in enumerate(names):
+            if name in table:
+                raise MachineFormatError(f"duplicate {kind} name {name!r}", line)
+            table[name] = token(i, name)
+        if not table:
             raise MachineFormatError(f"empty {kind} list", line)
-    if len(symbol_names) < 2:
-        raise MachineFormatError("alphabet must have >= 2 symbols", alpha_line)
+        return table
 
-    states = tuple(State(i, n) for i, n in enumerate(state_names))
-    alphabet = tuple(Symbol(i, n) for i, n in enumerate(symbol_names))
-    state_by_name = {q.name: q for q in states}
-    symbol_by_name = {s.name: s for s in alphabet}
+    def find(table: Mapping[str, object], name: str, what: str, line: int, prefix: str = ""):
+        if name not in table:
+            raise MachineFormatError(f"{prefix}unknown {what} {name!r}", line)
+        return table[name]
+
+    state_by_name = name_table("states", State, "state")
+    symbol_by_name = name_table("alphabet", Symbol, "symbol")
+    if len(symbol_by_name) < 2:
+        raise MachineFormatError("alphabet must have >= 2 symbols", headers["alphabet"][1])
 
     def one_name(key: str, table: Mapping[str, object], what: str):
         names, line = headers[key]
         if len(names) != 1:
             raise MachineFormatError(f"header {key!r} needs exactly one name", line)
-        if names[0] not in table:
-            raise MachineFormatError(f"{key}: unknown {what} {names[0]!r}", line)
-        return table[names[0]]
+        return find(table, names[0], what, line, f"{key}: ")
 
     blank = one_name("blank", symbol_by_name, "symbol")
     initial = one_name("initial", state_by_name, "state")
@@ -454,37 +457,24 @@ def parse_machine(text: str, halting_mode: str = "fixpoint") -> TuringMachine:
             raise MachineFormatError(
                 "rule must look like 'state symbol -> state symbol move' or 'state symbol -> HALT'", lineno
             )
-        if tokens[0] not in state_by_name:
-            raise MachineFormatError(f"unknown state {tokens[0]!r}", lineno)
-        if tokens[1] not in symbol_by_name:
-            raise MachineFormatError(f"unknown symbol {tokens[1]!r}", lineno)
-        q, s = state_by_name[tokens[0]], symbol_by_name[tokens[1]]
+        q, s = find(state_by_name, tokens[0], "state", lineno), find(symbol_by_name, tokens[1], "symbol", lineno)
         if q == halting:
             raise MachineFormatError(f"rule for the halting state {q.name!r}", lineno)
         if shorthand:
             tr = Transition(halting, s, MOVE_NONE)
         else:
-            if tokens[3] not in state_by_name:
-                raise MachineFormatError(f"unknown state {tokens[3]!r}", lineno)
-            if tokens[4] not in symbol_by_name:
-                raise MachineFormatError(f"unknown symbol {tokens[4]!r}", lineno)
+            next_state = find(state_by_name, tokens[3], "state", lineno)
+            write = find(symbol_by_name, tokens[4], "symbol", lineno)
             if tokens[5] not in MOVE_LETTERS:
                 raise MachineFormatError(f"unknown move {tokens[5]!r} (expected L, R or N)", lineno)
-            tr = Transition(state_by_name[tokens[3]], symbol_by_name[tokens[4]], MOVE_LETTERS[tokens[5]])
+            tr = Transition(next_state, write, MOVE_LETTERS[tokens[5]])
         if (q, s) in rules:
             raise MachineFormatError(f"duplicate rule for ({q.name}, {s.name})", lineno)
         rules[(q, s)] = tr
 
+    states, alphabet = tuple(state_by_name.values()), tuple(symbol_by_name.values())
     try:
         return TuringMachine(states, alphabet, blank, initial, halting, rules, halting_mode)
     except MachineValidationError as exc:
         raise MachineFormatError(str(exc)) from exc
 
-
-def _first_duplicate(names: Sequence[str]) -> str | None:
-    seen = set()
-    for n in names:
-        if n in seen:
-            return n
-        seen.add(n)
-    return None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .machine import State, Symbol, TuringMachine
+from .machine import MachineError, State, Symbol, TuringMachine
 
 HALT = "halt"
 PERIODIC = "periodic"
@@ -119,20 +119,26 @@ def shift_graph(table: dict[tuple[State, Symbol], ShiftOutcome], direction: int)
 
 
 def graph_to_dot(graph: ShiftGraph) -> str:
-    """Deterministic dot text: vertices sorted by id, edges by (source, label)."""
+    """Deterministic dot text: vertices sorted by id, edges by (source, label).
+
+    Raises MachineError for a drawn name that ends in a backslash, which dot cannot quote.
+    """
     name = "right_shifts" if graph.direction == 1 else "left_shifts"
     lines = [f"digraph {name} {{"]
     for v in sorted(graph.vertices, key=lambda q: q.id):
-        lines.append(f"  {_dot_id(v.name)};")
+        lines.append(f"  {_dot_id(v)};")
     for e in sorted(graph.edges, key=lambda e: (e.src.id, e.label.id, e.dst.id)):
-        lines.append(f"  {_dot_id(e.src.name)} -> {_dot_id(e.dst.name)} [label={_dot_id(e.label.name)}];")
+        lines.append(f"  {_dot_id(e.src)} -> {_dot_id(e.dst)} [label={_dot_id(e.label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _dot_id(name: str) -> str:
-    """``name`` as a quoted dot id, each ``"`` escaped as ``\\"``, the one escape of dot."""
-    return '"' + name.replace('"', '\\"') + '"'
+def _dot_id(token: State | Symbol) -> str:
+    """A name as a quoted dot id, each ``"`` escaped as ``\\"``, the one escape of dot."""
+    if token.name.endswith("\\"):  # dot reads a final backslash and the closing quote as an escaped quote
+        kind = type(token).__name__.lower()
+        raise MachineError(f"{kind} {token.name!r} ends in a backslash: dot cannot quote it")
+    return '"' + token.name.replace('"', '\\"') + '"'
 
 
 def shift_table_rows(table: dict[tuple[State, Symbol], ShiftOutcome]) -> list[dict]:

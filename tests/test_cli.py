@@ -122,6 +122,17 @@ def test_bad_file_is_usage_error(capsys, tmp_path):
     assert "line 6" in err
 
 
+def test_graph_of_a_name_ending_in_a_backslash_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "backslash.tm"
+    path.write_text(
+        "states: q\\ q2 halt\nalphabet: a b\nblank: a\ninitial: q\\\nhalting: halt\n"
+        "q\\ a -> q2 a R\nq\\ b -> q2 b R\nq2 a -> q\\ a R\nq2 b -> HALT\n"
+    )
+    code, out, err = run_cli(capsys, "graph", "--file", str(path), "--eps", "+1")
+    assert (code, out) == (2, "")
+    assert err == "error: state 'q\\\\' ends in a backslash: dot cannot quote it\n"
+
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "analyze", "--file", "/no/such/file.tm")
     assert code == 2

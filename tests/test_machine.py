@@ -180,11 +180,19 @@ def test_duplicate_state_name():
         (_HEADER_BLOCK + "p 0 -> q 0 N\n", "line 6: unknown state 'p'"),
         (_HEADER_BLOCK + "q 2 -> q 0 N\n", "line 6: unknown symbol '2'"),
         (_HEADER_BLOCK + "q 0 -> p 0 N\n", "line 6: unknown state 'p'"),
+        (_HEADER_BLOCK + "q 0 -> q 2 N\n", "line 6: unknown symbol '2'"),
+        (_HEADER_BLOCK + "q 0 -> q 0 X\n", "line 6: unknown move 'X' (expected L, R or N)"),
+        (_HEADER_BLOCK.replace("alphabet: 0 1", "alphabet: 0 0"), "line 2: duplicate symbol name '0'"),
+        (_HEADER_BLOCK.replace("alphabet: 0 1", "alphabet:"), "line 2: empty symbol list"),
+        (_HEADER_BLOCK.replace("blank: 0", "blank: 2"), "line 3: blank: unknown symbol '2'"),
+        (_HEADER_BLOCK.replace("halting: halt", "halting: stop"), "line 5: halting: unknown state 'stop'"),
+        (_HEADER_BLOCK + "halt 0 -> q 0 N\n", "line 6: rule for the halting state 'halt'"),
     ],
 )
 def test_unknown_names_carry_line_numbers(text, message):
-    with pytest.raises(MachineFormatError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(MachineFormatError, match=f"^{re.escape(message)}$") as exc:
         parse_machine(text)
+    assert exc.value.line == int(re.match(r"line (\d+): ", message)[1])
 
 
 def test_unknown_token_in_rule_carries_line_number():

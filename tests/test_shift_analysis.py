@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from tmdyn import (
     HALT,
     PERIODIC,
+    MachineError,
     SHIFT,
     ShiftGraph,
     ShiftOutcome,
@@ -159,6 +160,36 @@ def test_dot_escapes_quotes_in_names():
     # Read back with dot's one escape, every quoted id is a name of the machine.
     ids = [t.replace('\\"', '"') for t in re.findall(r'"((?:[^"\\]|\\")*)"', dot)]
     assert set(ids) == {'q"0', "q2", "a", '"b'}
+
+
+def _two_state_text(state, symbol):
+    return (
+        f"states: {state} q2 halt\nalphabet: a {symbol}\nblank: a\ninitial: {state}\nhalting: halt\n"
+        f"{state} a -> q2 a R\n{state} {symbol} -> q2 {symbol} L\nq2 a -> q2 a N\nq2 {symbol} -> {state} a R\n"
+    )
+
+
+def test_dot_keeps_backslashes_inside_names():
+    dot = graph_to_dot(shift_graph(shift_table(parse_machine(_two_state_text("q\\x", "\\b"))), 1))
+    assert dot == (
+        "digraph right_shifts {\n"
+        '  "q\\x";\n'
+        '  "q2";\n'
+        '  "q\\x" -> "q2" [label="a"];\n'
+        '  "q2" -> "q\\x" [label="\\b"];\n'
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "state, symbol, message",
+    [("q\\", "b", "state 'q\\\\' ends in"), ("q", "b\\", "symbol 'b\\\\' ends in")],
+)
+def test_dot_rejects_a_name_that_ends_in_a_backslash(state, symbol, message):
+    # In "q\" dot reads \" as an escaped quote, so the id would never close.
+    graph = shift_graph(shift_table(parse_machine(_two_state_text(state, symbol))), 1)
+    with pytest.raises(MachineError, match=f"^{re.escape(message)} a backslash: dot cannot quote it$"):
+        graph_to_dot(graph)
 
 
 # --- consistency with the step semantics ----------------------------------------
