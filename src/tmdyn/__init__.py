@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 # Each exported name, by the module that defines it.
 _EXPORTS = {
-    "corpus": "builtin_machine corpus_names corpus_text random_machine",
+    "corpus": "builtin_machine corpus_names corpus_text",
     "gshift": "ASequence CantorPoint ConjugacyReport GeneralizedShift NotInImageError block_encode"
         " cantor_encode cantor_point_of_config compile_gshift embed gshift_step gshift_to_json_dict"
         " unembed verify_conjugacy",

@@ -1,4 +1,4 @@
-"""Built-in machines and a seeded random-machine generator.
+"""Built-in machines.
 
 The two corpus machines are small universal machines transcribed from their
 published transition tables.  Both use ``g`` as the blank symbol and ``u1``
@@ -9,13 +9,7 @@ table's delta-like third symbol, and in ``wutm_6_2`` the written symbols
 not move".
 """
 
-from __future__ import annotations
-
-from .machine import MachineError, State, Symbol, Transition, TuringMachine, parse_machine
-
-TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    import random
+from .machine import MachineError, TuringMachine, parse_machine
 
 UTM_6_4_TEXT = """\
 # 6-state, 4-symbol universal machine
@@ -104,32 +98,3 @@ def corpus_text(name: str) -> str:
 def builtin_machine(name: str, halting_mode: str = "fixpoint") -> TuringMachine:
     """Return a built-in machine by corpus name (see :func:`corpus_names`)."""
     return parse_machine(corpus_text(name), halting_mode=halting_mode)
-
-
-def random_machine(
-    rng: random.Random,
-    max_states: int = 4,
-    max_symbols: int = 3,
-    halt_prob: float = 0.15,
-    halting_mode: str = "fixpoint",
-) -> TuringMachine:
-    """Draw a random total machine with up to ``max_states`` non-halting states.
-
-    Intended for property tests and exploration; the distribution is not
-    meant to be uniform over anything, just varied.  The halting state is
-    always present (possibly unreachable) and the blank is the first symbol.
-    """
-    n_states = rng.randint(1, max_states)
-    n_symbols = rng.randint(2, max(2, max_symbols))
-    states = tuple(State(i, f"q{i}") for i in range(n_states)) + (State(n_states, "halt"),)
-    halting = states[-1]
-    alphabet = tuple(Symbol(i, f"s{i}") for i in range(n_symbols))
-    rules = {}
-    for q in states[:-1]:
-        for s in alphabet:
-            if rng.random() < halt_prob:
-                nxt = halting
-            else:
-                nxt = states[rng.randrange(n_states)]
-            rules[(q, s)] = Transition(nxt, alphabet[rng.randrange(n_symbols)], rng.choice((-1, 0, 1)))
-    return TuringMachine(states, alphabet, alphabet[0], states[0], halting, rules, halting_mode)

@@ -269,6 +269,8 @@ def verify_witness(machine: TuringMachine, witness: StrongWitness | RegularWitne
     the pair is a prefix code and distinct concatenations give distinct
     words (two powers of one loop are rejected).  Malformed witnesses
     (foreign states, missing or ill-typed fields) verify as False rather than raising.
+    A block holding the halting state fails through the missing rule: the
+    table has none for it.
     """
     try:
         if isinstance(witness, StrongWitness):
@@ -282,8 +284,6 @@ def verify_witness(machine: TuringMachine, witness: StrongWitness | RegularWitne
 
 def _verify_strong(machine: TuringMachine, w: StrongWitness) -> bool:
     if w.direction not in (-1, 1) or not w.states or len(w.symbols) < 2:
-        return False
-    if machine.halting in w.states:
         return False
     if not w.states <= set(machine.states) or not w.symbols <= set(machine.alphabet):
         return False

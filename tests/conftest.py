@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from tmdyn import builtin_machine, compile_gshift, gshift_step, parse_machine, random_machine, step
+from tmdyn import builtin_machine, compile_gshift, gshift_step, parse_machine, step
 from tmdyn.gshift import GeneralizedShift, _embed, sequence_alphabet
-from tmdyn.machine import Configuration, State, Symbol, TuringMachine
+from tmdyn.machine import Configuration, State, Symbol, Transition, TuringMachine
 from tmdyn.words import TraceWord
 
 
@@ -130,6 +130,35 @@ def machine_files(tmp_path_factory):
     for name, text in texts.items():
         (root / f"{name}.tm").write_text(text)
     return {name: str(root / f"{name}.tm") for name in texts}
+
+
+def random_machine(
+    rng: random.Random,
+    max_states: int = 4,
+    max_symbols: int = 3,
+    halt_prob: float = 0.15,
+    halting_mode: str = "fixpoint",
+) -> TuringMachine:
+    """Draw a random total machine with up to ``max_states`` non-halting states.
+
+    For property tests; the distribution is not meant to be uniform over
+    anything, just varied.  The halting state is always present (possibly
+    unreachable) and the blank is the first symbol.
+    """
+    n_states = rng.randint(1, max_states)
+    n_symbols = rng.randint(2, max(2, max_symbols))
+    states = tuple(State(i, f"q{i}") for i in range(n_states)) + (State(n_states, "halt"),)
+    halting = states[-1]
+    alphabet = tuple(Symbol(i, f"s{i}") for i in range(n_symbols))
+    rules = {}
+    for q in states[:-1]:
+        for s in alphabet:
+            if rng.random() < halt_prob:
+                nxt = halting
+            else:
+                nxt = states[rng.randrange(n_states)]
+            rules[(q, s)] = Transition(nxt, alphabet[rng.randrange(n_symbols)], rng.choice((-1, 0, 1)))
+    return TuringMachine(states, alphabet, alphabet[0], states[0], halting, rules, halting_mode)
 
 
 def machines(max_states=4, max_symbols=3, halt_prob=0.15):

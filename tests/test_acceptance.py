@@ -19,7 +19,6 @@ from tmdyn import (
     distance,
     entropy_lower_bound,
     parse_machine,
-    random_machine,
     run,
     shift_graph,
     shift_table,
@@ -31,7 +30,7 @@ from tmdyn.cli import main
 from tmdyn.machine import Configuration, iterate
 from tmdyn.regularity import STRONGLY_REGULAR
 
-from conftest import cycle_machine_text, word_set
+from conftest import cycle_machine_text, random_machine, word_set
 
 
 def _report(criterion, description, ok):

@@ -621,12 +621,20 @@ def test_every_flag_changes_the_outcome(capsys, halter_file, tmp_path):
 
 
 def test_oracle_flag_runs_the_oracle(capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, (words, "count_words_oracle"))
-    argv = ["entropy", "--machine", "utm_6_4", "--n-max", "3"]
+    # One row past the checked ones, so that checking too few or too many rows shows.
+    checked = []
+    oracle = words.count_words_oracle
+
+    def recording(machine, n, **kwargs):
+        checked.append(n)
+        return oracle(machine, n, **kwargs)
+
+    monkeypatch.setattr(words, "count_words_oracle", recording)
+    argv = ["entropy", "--machine", "utm_6_4", "--n-max", str(words.ORACLE_CHECKED_N + 1)]
     plain = run_cli(capsys, *argv)
-    assert calls["count_words_oracle"] == 0
+    assert checked == []
     assert run_cli(capsys, *argv, "--oracle") == plain
-    assert calls["count_words_oracle"] == 3
+    assert checked == list(range(1, words.ORACLE_CHECKED_N + 1))
 
 
 @pytest.mark.parametrize(
@@ -1100,7 +1108,7 @@ def test_import_loads_no_deferred_module():
 
 # tmdyn's exports, by defining module.
 _EXPORTS = {
-    corpus: "builtin_machine corpus_names corpus_text random_machine".split(),
+    corpus: "builtin_machine corpus_names corpus_text".split(),
     gshift: (
         "ASequence CantorPoint ConjugacyReport GeneralizedShift NotInImageError block_encode cantor_encode"
         " cantor_point_of_config compile_gshift embed gshift_step gshift_to_json_dict unembed verify_conjugacy"
@@ -1126,7 +1134,7 @@ _EXPORTS = {
 
 def test_each_export_is_its_modules_object():
     exported = [name for names in _EXPORTS.values() for name in names]
-    assert len(exported) == 61
+    assert len(exported) == 60
     assert sorted(tmdyn.__all__) == sorted(exported)
     for module, names in _EXPORTS.items():
         for name in names:
@@ -1136,8 +1144,10 @@ def test_each_export_is_its_modules_object():
     exec("from tmdyn import *", star)
     del star["__builtins__"]
     assert star == {name: getattr(module, name) for module, names in _EXPORTS.items() for name in names}
-    with pytest.raises(AttributeError, match="module 'tmdyn' has no attribute 'no_such_name'"):
-        tmdyn.no_such_name
+    # random_machine is a test helper in tests/conftest.py, not an export.
+    for name in ("no_such_name", "random_machine"):
+        with pytest.raises(AttributeError, match=f"module 'tmdyn' has no attribute '{name}'"):
+            getattr(tmdyn, name)
 
 
 def test_an_export_loads_only_its_module():

@@ -26,7 +26,6 @@ from tmdyn import (
     gshift_to_json_dict,
     make_config,
     parse_machine,
-    random_machine,
     step,
     unembed,
     verify_conjugacy,
@@ -35,7 +34,7 @@ from tmdyn.corpus import UTM_6_4_TEXT
 from tmdyn.gshift import sequence_alphabet
 from tmdyn.machine import HALTING_MODES, Configuration
 
-from conftest import machine_configs, replay_conjugacy
+from conftest import machine_configs, random_machine, replay_conjugacy
 
 
 # --- compilation -----------------------------------------------------------------

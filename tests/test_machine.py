@@ -30,14 +30,13 @@ from tmdyn import (
     format_config,
     make_config,
     parse_machine,
-    random_machine,
     run,
     step,
 )
 from tmdyn.corpus import UTM_6_4_TEXT
 from tmdyn.machine import HALTING_MODES, MAX_TEXT_CELLS, Configuration, iterate
 
-from conftest import machine_configs, machines
+from conftest import machine_configs, machines, random_machine
 
 
 # --- parsing ------------------------------------------------------------------
@@ -181,6 +180,7 @@ def test_duplicate_state_name():
         (_HEADER_BLOCK + "q 2 -> q 0 N\n", "line 6: unknown symbol '2'"),
         (_HEADER_BLOCK + "q 0 -> p 0 N\n", "line 6: unknown state 'p'"),
         (_HEADER_BLOCK + "q 0 -> q 2 N\n", "line 6: unknown symbol '2'"),
+        (_HEADER_BLOCK + "q 0 -> q 0 N\nq 1 -> q 2 N\n", "line 7: unknown symbol '2'"),
         (_HEADER_BLOCK + "q 0 -> q 0 X\n", "line 6: unknown move 'X' (expected L, R or N)"),
         (_HEADER_BLOCK.replace("alphabet: 0 1", "alphabet: 0 0"), "line 2: duplicate symbol name '0'"),
         (_HEADER_BLOCK.replace("alphabet: 0 1", "alphabet:"), "line 2: empty symbol list"),
@@ -193,24 +193,6 @@ def test_unknown_names_carry_line_numbers(text, message):
     with pytest.raises(MachineFormatError, match=f"^{re.escape(message)}$") as exc:
         parse_machine(text)
     assert exc.value.line == int(re.match(r"line (\d+): ", message)[1])
-
-
-def test_unknown_token_in_rule_carries_line_number():
-    text = (
-        "states: q halt\nalphabet: 0 1\nblank: 0\ninitial: q\nhalting: halt\n"
-        "q 0 -> q 0 N\nq 1 -> q 2 N\n"
-    )
-    with pytest.raises(MachineFormatError, match="line 7.*unknown symbol '2'"):
-        parse_machine(text)
-
-
-def test_bad_move_letter():
-    text = (
-        "states: q halt\nalphabet: 0 1\nblank: 0\ninitial: q\nhalting: halt\n"
-        "q 0 -> q 0 X\nq 1 -> q 1 N\n"
-    )
-    with pytest.raises(MachineFormatError, match="unknown move 'X'"):
-        parse_machine(text)
 
 
 def test_missing_header():

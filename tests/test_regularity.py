@@ -24,14 +24,13 @@ from tmdyn import (
     count_words,
     entropy_lower_bound,
     parse_machine,
-    random_machine,
     shift_graph,
     shift_table,
     verify_witness,
 )
 from tmdyn.regularity import MAX_ALPHABET, NO_WITNESS, REGULAR, STRONGLY_REGULAR, _component_labels
 
-from conftest import chain_machine_text, machines, wide_machine_text
+from conftest import chain_machine_text, machines, random_machine, wide_machine_text
 
 
 def brute_force_regular(machine):
@@ -200,6 +199,13 @@ _BROKEN_CLAUSES = {
     "one-pair walk": lambda m, s, r: (m, dataclasses.replace(r, walk_b=r.walk_b[:1], cost_b=2)),
     "walk that does not start at base": lambda m, s, r: (
         m, dataclasses.replace(r, walk_a=r.walk_a[1:] + r.walk_a[:1])
+    ),
+    # Every link holds and the walk ends at base u2; only its start is wrong.
+    "walk that ends at base but starts elsewhere": lambda m, s, r: (
+        m,
+        dataclasses.replace(
+            r, walk_a=((m.state_named("u1"), m.symbol_named("d")), (r.base, m.symbol_named("b"))), cost_a=3
+        ),
     ),
     "walk through the halting state": lambda m, s, r: (
         m,

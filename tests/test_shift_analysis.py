@@ -16,13 +16,12 @@ from tmdyn import (
     graph_to_dot,
     make_config,
     parse_machine,
-    random_machine,
     shift_graph,
     shift_table,
 )
 from tmdyn.machine import iterate
 
-from conftest import machines
+from conftest import machines, random_machine
 
 WUTM_PLUS_EDGES = {("u3", "u2"), ("u4", "u5"), ("u4", "u6"), ("u5", "u4"), ("u6", "u4")}
 

@@ -15,7 +15,6 @@ from tmdyn import (
     count_words,
     count_words_oracle,
     entropy_estimates,
-    random_machine,
     report_to_csv,
     report_to_json_dict,
 )
@@ -24,7 +23,7 @@ from tmdyn.cli import main
 from tmdyn.machine import HALTING_MODES, parse_machine
 from tmdyn.regularity import STRONGLY_REGULAR
 
-from conftest import machines, wide_machine_text, word_set
+from conftest import machines, random_machine, wide_machine_text, word_set
 
 
 def test_length_one_words_are_all_pairs(utm, wutm):
